@@ -14,7 +14,7 @@ from .actions import (
 )
 from .exactalg import (
     IntegerMatrix,
-    SparseEliminator,
+    InternalDiscrepancy,
     binomial,
     floor_sum,
     gcd_all,

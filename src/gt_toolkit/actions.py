@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .exactalg import gcd_all
+from .exactalg import InternalDiscrepancy, exact_int, gcd_all
 
 # Monomials and semigroup elements are plain exponent tuples.
 ExponentVector = tuple[int, ...]
@@ -53,11 +53,13 @@ class CyclicAction:
     @classmethod
     def from_dict(cls, data: dict) -> "CyclicAction":
         try:
-            d = int(data["d"])
-            weights = tuple(int(w) for w in data["weights"])
-        except (KeyError, TypeError, ValueError) as exc:
+            d, weights = data["d"], data["weights"]
+        except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed action input: {exc}") from exc
-        return cls(d, weights)
+        if not isinstance(weights, list):
+            raise ValueError("malformed action input: weights must be a list")
+        return cls(exact_int(d, "d"),
+                   tuple(exact_int(w, "weight") for w in weights))
 
     def to_dict(self) -> dict:
         return {"d": self.d, "weights": list(self.weights)}
@@ -204,8 +206,8 @@ def _zero_sum_part(action: CyclicAction, v: ExponentVector) -> ExponentVector:
                 reach.add((count + b, (res + w[i] * b) % d))
         tail[i] = reach
     if (d, 0) not in tail[0]:
-        raise AssertionError("no zero-sum split found; input was not a "
-                             "degree-multiple invariant")
+        raise InternalDiscrepancy("no zero-sum split found; input was not "
+                                  "a degree-multiple invariant")
     part = [0] * nv
     count, res = d, 0
     for i in range(nv):

@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 usage or input error, 2 a computation finished
-but carries a flagged internal discrepancy, 3 a verification check
-failed.  Output is deterministic: identical inputs give byte-identical
-output in both table and JSON formats.
+but carries a flagged internal discrepancy or an internal cross-check
+failed, 3 a verification check failed.  Output is deterministic:
+identical inputs give byte-identical output in both table and JSON
+formats.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import json
 import sys
 
 from .actions import CyclicAction, format_monomial, invariant_monomials
+from .exactalg import InternalDiscrepancy
 from .hilbert import (catalog_notes, hf_by_counting, hf_closed_form,
                       hf_reduced, hilbert_series, surface_invariants,
                       surface_profile)
@@ -353,6 +355,9 @@ def main(argv=None) -> int:
     except (ValueError, UnsupportedSemigroupError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except InternalDiscrepancy as exc:
+        print(f"internal discrepancy: {exc}", file=sys.stderr)
+        return DISCREPANCY
     if args.format == "json":
         text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     else:

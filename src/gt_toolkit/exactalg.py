@@ -1,7 +1,8 @@
 """Exact integer primitives shared by every other module.
 
 Everything here is arbitrary-precision integer arithmetic; no floating
-point is used anywhere in the package.
+point is used anywhere in the package.  InternalDiscrepancy, raised when
+two independent routes to one number disagree, also lives here.
 """
 
 from __future__ import annotations
@@ -9,6 +10,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
+
+
+class InternalDiscrepancy(AssertionError):
+    """Two routes to the same number disagree: a defect, not bad input."""
+
+
+def exact_int(value, what: str) -> int:
+    """value itself if it is an int; anything else, bool included, is
+    rejected with ValueError instead of being truncated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 def gcd_all(values: Iterable[int]) -> int:
@@ -44,7 +57,8 @@ def floor_sum(m: int, n: int) -> int:
         total += i * m // n
     closed = ((m - 1) * (n - 1) + math.gcd(m, n) - 1) // 2
     if total != closed:
-        raise AssertionError(f"floor sum identity violated for m={m}, n={n}")
+        raise InternalDiscrepancy(
+            f"floor sum identity violated for m={m}, n={n}")
     return total
 
 
@@ -124,40 +138,3 @@ def integer_rank(matrix) -> int:
         if rank == nrows:
             break
     return rank
-
-
-class SparseEliminator:
-    """Incremental exact row reduction for sparse integer rows.
-
-    Rows are dicts mapping a hashable column key to a nonzero integer.
-    Stored pivot rows are normalized (content 1, positive pivot), and
-    elimination uses integer cross-multiplication, so no fractions can
-    appear.  add() reports whether the row enlarged the span.
-    """
-
-    def __init__(self):
-        self._pivots: dict = {}
-
-    @property
-    def rank(self) -> int:
-        return len(self._pivots)
-
-    def add(self, row: dict) -> bool:
-        work = {c: v for c, v in row.items() if v != 0}
-        while work:
-            col = min(work)
-            pivot = self._pivots.get(col)
-            if pivot is None:
-                g = gcd_all(work.values())
-                sign = 1 if work[col] > 0 else -1
-                self._pivots[col] = {c: sign * v // g for c, v in work.items()}
-                return True
-            a = pivot[col]
-            b = work[col]
-            l = a * b // math.gcd(a, b)
-            fa, fb = l // a, l // b
-            merged = {c: fb * v for c, v in work.items()}
-            for c, v in pivot.items():
-                merged[c] = merged.get(c, 0) - fa * v
-            work = {c: v for c, v in merged.items() if v != 0}
-        return False

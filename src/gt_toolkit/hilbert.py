@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .actions import CyclicAction, count_invariants
-from .exactalg import gcd_all
+from .exactalg import InternalDiscrepancy, gcd_all
 
 
 def hf_by_counting(action: CyclicAction, t: int) -> int:
@@ -231,7 +231,7 @@ def hilbert_series(profile: SurfaceProfile, horizon: int = 6) -> HilbertData:
         from_series = sum(numerator[k] * math.comb(t - k + 2, 2)
                           for k in range(3) if t - k >= 0)
         if from_series != table[t]:
-            raise AssertionError(
+            raise InternalDiscrepancy(
                 f"series expansion disagrees with the closed form at t={t}")
     poly = (Fraction(d, 2), Fraction(theta, 2), Fraction(1))
     return HilbertData(profile, poly, numerator, table)

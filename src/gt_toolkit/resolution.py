@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .actions import CyclicAction, mu_d
-from .exactalg import binomial
+from .exactalg import InternalDiscrepancy, binomial
 from .hilbert import SurfaceProfile, hf_by_counting, hilbert_series
 from .toricideal import fiber_partition
 
@@ -110,7 +110,7 @@ def generator_counts(profile: SurfaceProfile) -> GeneratorCounts:
                                  - profile.d + 1, 0)
     table = betti_table(profile)
     if (counts.quadrics, counts.cubics) != (table.rank(1, 1), table.rank(1, 2)):
-        raise AssertionError(
+        raise InternalDiscrepancy(
             f"generator counts disagree with the Betti table for {profile}")
     return counts
 
@@ -130,7 +130,7 @@ def first_betti_via_fibers(action: CyclicAction, i: int) -> int:
     partition = fiber_partition(action, i + 1)
     by_fibers = partition.relation_count
     if by_hf != by_fibers:
-        raise AssertionError(
+        raise InternalDiscrepancy(
             f"fiber count {by_fibers} disagrees with binomial-minus-HF "
             f"{by_hf} for {action}, i={i}")
     return by_hf

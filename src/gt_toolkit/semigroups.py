@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .actions import CyclicAction, ExponentVector, invariant_monomials
+from .exactalg import InternalDiscrepancy, exact_int
 
 
 class UnsupportedSemigroupError(ValueError):
@@ -77,13 +78,17 @@ class AffineSemigroup:
 
     @classmethod
     def from_dict(cls, data: dict) -> "AffineSemigroup":
-        try:
-            gens = data["generators"]
-            semigroup = cls.from_generators(gens)
-            if "dim" in data and int(data["dim"]) != semigroup.dim:
-                raise ValueError("declared dim does not match the generators")
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"malformed semigroup input: {exc}") from exc
+        gens = data.get("generators") if isinstance(data, dict) else None
+        if not isinstance(gens, list) or \
+                not all(isinstance(g, list) for g in gens):
+            raise ValueError("malformed semigroup input: need a list of "
+                             "generator lists")
+        for g in gens:
+            for c in g:
+                exact_int(c, "generator coordinate")
+        semigroup = cls.from_generators(gens)
+        if "dim" in data and exact_int(data["dim"], "dim") != semigroup.dim:
+            raise ValueError("declared dim does not match the generators")
         return semigroup
 
     def to_dict(self) -> dict:
@@ -127,7 +132,7 @@ def make_h3t(t: int) -> AffineSemigroup:
         gens = [(3 * s, 0, 0), (0, 3 * s, 0), (0, 0, 3 * s)] + shifted
     semigroup = AffineSemigroup.from_generators(gens)
     if len(semigroup.generators) != 3 * t + 1:
-        raise AssertionError(f"expected {3 * t + 1} generators for t={t}")
+        raise InternalDiscrepancy(f"expected {3 * t + 1} generators for t={t}")
     return semigroup
 
 
@@ -149,7 +154,8 @@ def make_hk(k: int, t_prime: int) -> AffineSemigroup:
         gens = [(size, 0, 0), (0, size, 0), (0, 0, size)] + shifted
     semigroup = AffineSemigroup.from_generators(gens)
     if len(semigroup.generators) != 3 * (t_prime + 1) + 1:
-        raise AssertionError(f"expected {3 * (t_prime + 1) + 1} generators")
+        raise InternalDiscrepancy(
+            f"expected {3 * (t_prime + 1) + 1} generators")
     return semigroup
 
 
@@ -212,7 +218,7 @@ def member(H: AffineSemigroup, w) -> Membership:
         for k in range(H.dim):
             check[k] += gens[idx][k]
     if tuple(check) != w:
-        raise AssertionError(f"decomposition of {w} does not re-sum")
+        raise InternalDiscrepancy(f"decomposition of {w} does not re-sum")
     return Membership(True, decomposition)
 
 

@@ -1,10 +1,15 @@
 """Low-degree graded pieces of the toric ideal of a GT-variety.
 
 Multisets of j generators are grouped by their product monomial; two
-multisets in the same fiber give a binomial in the ideal.  Because every
-such binomial is a difference of two basis monomials, all the linear
-algebra here runs on sparse rows with two entries, which incremental
-exact elimination handles without any coefficient growth.
+multisets in the same fiber give a binomial in the ideal.  Every such
+binomial is a difference e_u - e_v of two basis monomials, so a span of
+them is the cut space of a graph on the basis monomials: a row lies in
+the span of earlier rows exactly when u and v are already connected,
+and the rank is the number of rows that joined two components.  The
+spans are tracked with union-find, so no elimination is needed.  This
+is the Markov-basis view of Diaconis and Sturmfels: the minimal
+generators in one multidegree number the components of its fiber
+graph minus one.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
 from .actions import CyclicAction, ExponentVector, invariant_monomials
-from .exactalg import SparseEliminator, binomial
+from .exactalg import InternalDiscrepancy, binomial
 from .hilbert import hf_by_counting
 
 # A binomial on the generators, as two sorted index multisets.
@@ -113,10 +118,41 @@ def _base_differences(partition: FiberPartition) -> list[Binomial]:
     return out
 
 
-def _shift_row(pair: Binomial, var: int) -> dict:
-    lhs = tuple(sorted(pair[0] + (var,)))
-    rhs = tuple(sorted(pair[1] + (var,)))
-    return {lhs: 1, rhs: -1}
+def _shift(pair: Binomial, var: int) -> Binomial:
+    return tuple(sorted(pair[0] + (var,))), tuple(sorted(pair[1] + (var,)))
+
+
+class _CutSpan:
+    """Span of rows e_u - e_v, tracked as components of a graph.
+
+    Union-find over basis monomials with iterative path halving; only
+    non-root monomials are stored.  add() reports whether the row
+    enlarged the span, i.e. joined two components.
+    """
+
+    def __init__(self):
+        self._parent: dict = {}
+        self.rank = 0
+
+    def _find(self, x):
+        parent = self._parent
+        while True:
+            p = parent.get(x)
+            if p is None:
+                return x
+            gp = parent.get(p)
+            if gp is None:
+                return p
+            parent[x] = gp
+            x = gp
+
+    def add(self, pair: Binomial) -> bool:
+        ru, rv = self._find(pair[0]), self._find(pair[1])
+        if ru == rv:
+            return False
+        self._parent[rv] = ru
+        self.rank += 1
+        return True
 
 
 def minimal_generators(action: CyclicAction) -> BinomialGeneratorSet:
@@ -135,35 +171,36 @@ def minimal_generators(action: CyclicAction) -> BinomialGeneratorSet:
     deg2 = fiber_partition(action, 2)
     quadrics = _base_differences(deg2)
     if len(quadrics) != ideal_dimension(action, 2):
-        raise AssertionError(
+        raise InternalDiscrepancy(
             f"degree-2 fiber differences do not span for {action}")
 
-    span3 = SparseEliminator()
+    span3 = _CutSpan()
     for pair in quadrics:
         for var in range(nvars):
-            span3.add(_shift_row(pair, var))
+            span3.add(_shift(pair, var))
 
     deg3 = fiber_partition(action, 3)
     dim3 = ideal_dimension(action, 3)
     if deg3.relation_count != dim3:
-        raise AssertionError(
+        raise InternalDiscrepancy(
             f"degree-3 fiber differences do not span for {action}")
     product_rank = span3.rank
     cubics = []
     for pair in _base_differences(deg3):
-        if span3.add({pair[0]: 1, pair[1]: -1}):
+        if span3.add(pair):
             cubics.append(pair)
     if span3.rank != dim3 or len(cubics) != dim3 - product_rank:
-        raise AssertionError(
+        raise InternalDiscrepancy(
             f"cubic witness extension is inconsistent for {action}")
 
-    span4 = SparseEliminator()
+    span4 = _CutSpan()
     for pair in _base_differences(deg3):
         for var in range(nvars):
-            span4.add(_shift_row(pair, var))
+            span4.add(_shift(pair, var))
     deficit = ideal_dimension(action, 4) - span4.rank
     if deficit < 0:
-        raise AssertionError(f"degree-4 span exceeds the ideal for {action}")
+        raise InternalDiscrepancy(
+            f"degree-4 span exceeds the ideal for {action}")
 
     return BinomialGeneratorSet(
         action=action,

@@ -1,6 +1,8 @@
 import json
 
-from gt_toolkit import cli
+import pytest
+
+from gt_toolkit import cli, toricideal
 
 
 def run(capsys, *argv):
@@ -110,6 +112,54 @@ def test_internal_discrepancy_exit_code(capsys, monkeypatch):
     status, out, _ = run(capsys, "hilbert", "1", "2", "3", "--t", "1")
     assert status == 2
     assert "FLAG" in out
+
+
+@pytest.mark.parametrize("data", [
+    {"d": 5.7, "weights": [0, 1, 3.2]},
+    {"d": 5, "weights": [0, 1, 3.2]},
+    {"d": 5.0, "weights": [0, 1, 3]},
+    {"d": 5, "weights": [0, True, 3]},
+    {"d": True, "weights": [0, 1]},
+    {"d": 5, "weights": [0, "1", 3]},
+    {"d": 5, "weights": "013"},
+    {"d": 5},
+    [5, 0, 1, 3],
+])
+def test_action_file_rejects_non_integers(tmp_path, capsys, data):
+    path = tmp_path / "action.json"
+    path.write_text(json.dumps(data))
+    for command in ("ideal", "classify", "invariants"):
+        status, out, err = run(capsys, command, "--file", str(path))
+        assert (status, out) == (1, ""), (command, data)
+        assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("data", [
+    {"generators": [[3.7, 0, 0], [0, 3, 0], [0, 0, 3], [1, 1, 1]]},
+    {"generators": [[3, 0, 0], [0, 3, 0], [0, 0, 3], [1, 1, True]]},
+    {"dim": 3.0, "generators": [[3, 0, 0], [0, 3, 0], [0, 0, 3]]},
+    {"dim": True, "generators": [[1]]},
+    {"dim": 3, "generators": [[3, 0, 0], "030"]},
+    {"dim": 3},
+    [[3, 0, 0], [0, 3, 0]],
+])
+def test_semigroup_file_rejects_non_integers(tmp_path, capsys, data):
+    path = tmp_path / "semigroup.json"
+    path.write_text(json.dumps(data))
+    status, out, err = run(capsys, "semigroup", str(path), "--bound", "2")
+    assert (status, out) == (1, ""), data
+    assert err.startswith("error: ")
+
+
+def test_cross_check_failure_exits_with_discrepancy(capsys, monkeypatch):
+    # a cross-check that fails inside a computation is a discrepancy,
+    # reported on one stderr line, never a traceback or a partial report
+    monkeypatch.setattr(toricideal, "ideal_dimension", lambda action, j: 0)
+    status, out, err = run(capsys, "ideal", "5", "0,1,3")
+    assert status == 2
+    assert out == ""
+    assert err.startswith("internal discrepancy: ")
+    assert len(err.splitlines()) == 1
 
 
 def test_verify_paper(capsys):

@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from gt_toolkit.exactalg import (IntegerMatrix, SparseEliminator, binomial,
-                                 floor_sum, gcd_all, integer_rank)
+from gt_toolkit.exactalg import (IntegerMatrix, InternalDiscrepancy,
+                                 binomial, exact_int, floor_sum, gcd_all,
+                                 integer_rank)
 
 
 def test_gcd_all_examples():
@@ -119,20 +120,14 @@ def test_integer_matrix_validation():
         IntegerMatrix.from_rows([[1.5, 2], [3, 4]])
 
 
-def test_sparse_eliminator_matches_dense_rank():
-    rng = random.Random(7)
-    for _ in range(40):
-        rows = rng.randrange(1, 8)
-        cols = rng.randrange(1, 8)
-        dense = [[0] * cols for _ in range(rows)]
-        elim = SparseEliminator()
-        added = 0
-        for r in range(rows):
-            entries = {}
-            for _ in range(rng.randrange(0, 4)):
-                entries[rng.randrange(cols)] = rng.randrange(-5, 6)
-            for c, v in entries.items():
-                dense[r][c] = v
-            if elim.add(entries):
-                added += 1
-        assert elim.rank == added == integer_rank(dense)
+def test_exact_int_rejects_non_integers():
+    assert exact_int(7, "d") == 7
+    assert exact_int(-3, "d") == -3
+    for bad in (5.7, 5.0, True, False, "5", None, [5]):
+        with pytest.raises(ValueError):
+            exact_int(bad, "d")
+
+
+def test_internal_discrepancy_is_an_assertion_error():
+    assert issubclass(InternalDiscrepancy, AssertionError)
+    assert not issubclass(InternalDiscrepancy, ValueError)

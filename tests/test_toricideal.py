@@ -1,14 +1,13 @@
-from itertools import combinations_with_replacement
 from math import gcd
 
 import pytest
 
-from gt_toolkit.actions import CyclicAction, invariant_monomials
+from gt_toolkit.actions import CyclicAction
 from gt_toolkit.exactalg import integer_rank
 from gt_toolkit.hilbert import surface_profile
 from gt_toolkit.resolution import generator_counts
-from gt_toolkit.toricideal import (fiber_partition, ideal_dimension,
-                                   minimal_generators)
+from gt_toolkit.toricideal import (_CutSpan, fiber_partition,
+                                   ideal_dimension, minimal_generators)
 
 
 def surface_actions(max_d):
@@ -122,30 +121,71 @@ def test_counts_against_formulas_with_known_exceptions():
             assert got == (counts.quadrics, counts.cubics), (a, b, d, got)
 
 
-def test_sparse_rank_matches_dense_rank():
-    # rebuild the product matrix densely and compare with the sparse route
-    for (a, b, d) in [(1, 2, 5), (1, 3, 6), (1, 3, 7)]:
-        action = CyclicAction(d, (0, a, b))
-        gens = invariant_monomials(action, 1).monomials
-        mu = len(gens)
-        deg2 = fiber_partition(action, 2)
-        quadrics = []
-        for _, multisets in deg2.fibers.items():
-            base = multisets[0]
-            quadrics += [(base, other) for other in multisets[1:]]
-        basis = {m: i for i, m in
-                 enumerate(combinations_with_replacement(range(mu), 3))}
-        rows = []
-        for lhs, rhs in quadrics:
-            for var in range(mu):
-                row = [0] * len(basis)
-                row[basis[tuple(sorted(lhs + (var,)))]] += 1
-                row[basis[tuple(sorted(rhs + (var,)))]] -= 1
-                rows.append(row)
-        dense_rank = integer_rank(rows) if rows else 0
+def _incidence_rank(rows, gens):
+    """Rank of the dense incidence matrix of rows e_u - e_v, by
+    fraction-free elimination.  Both ends of a row have the same product
+    monomial, so the matrix is block diagonal by product and its rank is
+    the sum of the block ranks."""
+    blocks = {}
+    for u, v in rows:
+        product = tuple(map(sum, zip(*(gens[i] for i in u))))
+        blocks.setdefault(product, []).append((u, v))
+    total = 0
+    for block in blocks.values():
+        cols = {m: c for c, m in
+                enumerate(sorted({m for row in block for m in row}))}
+        dense = []
+        for u, v in block:
+            row = [0] * len(cols)
+            row[cols[u]] += 1
+            row[cols[v]] -= 1
+            dense.append(row)
+        total += integer_rank(dense)
+    return total
+
+
+def _union_find_rank(rows):
+    span = _CutSpan()
+    for row in rows:
+        span.add(row)
+    return span.rank
+
+
+def test_union_find_spans_match_dense_rank():
+    # second route for every rank minimal_generators derives from spans
+    for d, weights in [(5, (0, 1, 2)), (6, (0, 1, 3)), (5, (0, 1, 3)),
+                       (7, (0, 1, 3)), (4, (0, 1, 2, 3)), (5, (0, 1, 2, 3))]:
+        action = CyclicAction(d, weights)
+        result = minimal_generators(action)
+        gens = result.generators
+
+        def shifts(pairs):
+            return [(tuple(sorted(lhs + (var,))), tuple(sorted(rhs + (var,))))
+                    for lhs, rhs in pairs for var in range(len(gens))]
+
+        differences = [(ms[0], other)
+                       for ms in fiber_partition(action, 3).fibers.values()
+                       for other in ms[1:]]
+        products = shifts(result.quadrics)
+        spans = (products, products + differences, shifts(differences))
+        dense = [_incidence_rank(rows, gens) for rows in spans]
+        assert dense == [_union_find_rank(rows) for rows in spans]
+
         dim3 = ideal_dimension(action, 3)
-        cubics = len(minimal_generators(action).cubics)
-        assert cubics == dim3 - dense_rank, (a, b, d)
+        product_rank = dim3 - len(result.cubics)
+        assert dense[:2] == [product_rank, dim3], (d, weights)
+        assert _incidence_rank(products + list(result.cubics), gens) == dim3
+        assert ideal_dimension(action, 4) - dense[2] == \
+            result.degree4_deficit, (d, weights)
+
+
+def test_union_find_rank_is_iterative():
+    # one long path of joins: no recursion, whatever the path length
+    chain = [((i,), (i + 1,)) for i in range(20000)]
+    span = _CutSpan()
+    assert all(span.add(row) for row in reversed(chain))
+    assert not span.add(((0,), (20000,)))
+    assert span.rank == 20000
 
 
 def test_threefold_runs_with_marker():
