@@ -13,10 +13,8 @@ from .actions import (
     mu_d,
 )
 from .exactalg import (
-    IntegerMatrix,
     InternalDiscrepancy,
     binomial,
-    floor_sum,
     gcd_all,
     integer_rank,
 )

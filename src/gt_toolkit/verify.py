@@ -6,16 +6,10 @@ function values, resolution ranks, semigroup generator lists and
 membership facts).  Two of the published degree-3t invariant lists
 contain obvious misprints (an omitted monomial and a duplicated one);
 the fixtures carry the corrected sets, which match the stated counts.
-
-The number of worker threads for running the checks can be capped with
-the GT_TOOLKIT_THREADS environment variable; results are always
-reported in a fixed order.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .actions import CyclicAction, egz_factor, invariant_monomials, is_invariant, mu_d
@@ -406,19 +400,6 @@ CHECKS = [
 ]
 
 
-def thread_cap() -> int:
-    raw = os.environ.get("GT_TOOLKIT_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def run_reference_checks(max_workers: int | None = None) -> list[CheckResult]:
+def run_reference_checks() -> list[CheckResult]:
     """Run every reference check; results come back in a fixed order."""
-    workers = max_workers if max_workers is not None else thread_cap()
-    workers = max(1, min(workers, len(CHECKS)))
-    if workers == 1:
-        return [check() for check in CHECKS]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda c: c(), CHECKS))
+    return [check() for check in CHECKS]

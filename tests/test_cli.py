@@ -167,3 +167,21 @@ def test_verify_paper(capsys):
     assert status == 0
     lines = [l for l in out.splitlines() if l.startswith(("PASS", "FAIL"))]
     assert lines and all(l.startswith("PASS") for l in lines)
+
+
+def test_semigroup_member_deep_query(tmp_path, capsys):
+    # a sum of 1500 generators, past the depth of any recursive search
+    generators = [[5, 0, 0], [0, 5, 0], [0, 0, 5], [3, 1, 1], [2, 2, 1],
+                  [1, 3, 1]]
+    path = tmp_path / "semigroup.json"
+    path.write_text(json.dumps({"dim": 3, "generators": generators}))
+    status, out, err = run(capsys, "semigroup", str(path), "--bound", "1",
+                           "--member", "2819,2747,1934", "--format", "json")
+    assert status == 0 and err == ""
+    report = json.loads(out)
+    answer = report["member_query"]
+    assert answer["member"] is True
+    gens = report["semigroup"]["generators"]
+    total = [sum(gens[i][k] for i in answer["decomposition"])
+             for k in range(3)]
+    assert total == [2819, 2747, 1934]

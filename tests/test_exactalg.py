@@ -3,9 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from gt_toolkit.exactalg import (IntegerMatrix, InternalDiscrepancy,
-                                 binomial, exact_int, floor_sum, gcd_all,
-                                 integer_rank)
+from gt_toolkit.exactalg import (InternalDiscrepancy, binomial, exact_int,
+                                 gcd_all, integer_rank)
 
 
 def test_gcd_all_examples():
@@ -19,26 +18,6 @@ def test_gcd_all_examples():
 def test_gcd_all_empty():
     with pytest.raises(ValueError):
         gcd_all([])
-
-
-def test_floor_sum_examples():
-    assert floor_sum(1, 1) == 0
-    assert floor_sum(3, 3) == 3
-    assert floor_sum(5, 3) == 4
-
-
-def test_floor_sum_closed_form_sweep():
-    # floor_sum itself asserts the closed form; sweep the full grid
-    for m in range(1, 201):
-        for n in range(1, 201):
-            floor_sum(m, n)
-
-
-def test_floor_sum_validation():
-    with pytest.raises(ValueError):
-        floor_sum(0, 3)
-    with pytest.raises(ValueError):
-        floor_sum(3, 0)
 
 
 def test_binomial_examples():
@@ -106,18 +85,6 @@ def test_integer_rank_row_operations_invariance():
         scaled[rng.randrange(rows)] = [
             v * rng.choice([-3, -1, 2, 5]) for v in scaled[rng.randrange(rows)]]
         assert integer_rank(scaled) == _fraction_rank(scaled)
-
-
-def test_integer_matrix_validation():
-    m = IntegerMatrix.from_rows([[1, 2], [3, 4]])
-    assert m.rows == 2 and m.cols == 2 and m.row(1) == (3, 4)
-    assert integer_rank(m) == 2
-    with pytest.raises(ValueError):
-        IntegerMatrix(2, 2, (1, 2, 3))
-    with pytest.raises(ValueError):
-        IntegerMatrix.from_rows([[1, 2], [3]])
-    with pytest.raises(TypeError):
-        IntegerMatrix.from_rows([[1.5, 2], [3, 4]])
 
 
 def test_exact_int_rejects_non_integers():

@@ -1,16 +1,46 @@
-from math import gcd
+from math import gcd, prod
 
 import pytest
 
-from gt_toolkit.actions import CyclicAction
+from gt_toolkit.actions import CyclicAction, exponent_vectors
+from gt_toolkit.hilbert import hf_by_counting
 from gt_toolkit.semigroups import (AffineSemigroup, UnsupportedSemigroupError,
-                                   is_normal_up_to, lattice_member,
-                                   lemma_two_zero_check, make_h3t, make_hk,
-                                   member, saturation_member,
-                                   semigroup_of_action, trung_cm_check)
+                                   _apery, _lattice_basis, is_normal_up_to,
+                                   lattice_member, lemma_two_zero_check,
+                                   make_h3t, make_hk, member,
+                                   saturation_member, semigroup_of_action,
+                                   trung_cm_check)
 
 H6_GENERATORS = {(6, 0, 0), (0, 6, 0), (0, 0, 6), (4, 1, 1), (1, 4, 1),
                  (1, 1, 4), (2, 2, 2)}
+
+# the non-aCM example of the README
+CUBIC = AffineSemigroup.from_generators(
+    [(5, 0, 0), (0, 5, 0), (0, 0, 5), (3, 1, 1), (2, 2, 1), (1, 3, 1)])
+
+
+# generator sets drawn once at random and kept fixed
+RANDOM_SETS = {
+    "s0": [(6, 0, 0), (4, 0, 2), (3, 0, 3), (0, 6, 0), (0, 0, 6)],
+    "s1": [(7, 0, 0), (6, 1, 0), (4, 1, 2), (2, 4, 1), (0, 7, 0), (0, 0, 7)],
+    "s5": [(7, 0, 0), (5, 1, 1), (5, 0, 2), (1, 5, 1), (0, 7, 0), (0, 3, 4),
+           (0, 0, 7)],
+    "s6": [(5, 0, 0), (4, 1, 0), (4, 0, 1), (1, 4, 0), (0, 5, 0), (0, 3, 2),
+           (0, 0, 5)],
+    "s7": [(6, 0, 0), (4, 2, 0), (2, 3, 1), (1, 3, 2), (1, 1, 4), (0, 6, 0),
+           (0, 0, 6)],
+}
+
+
+def gt_surface_actions(max_d):
+    return [CyclicAction(d, (0, a, b)) for d in range(3, max_d + 1)
+            for a in range(1, d) for b in range(a + 1, d)
+            if gcd(gcd(a, b), d) == 1]
+
+
+def resums(H, w, decomposition):
+    return tuple(sum(H.generators[i][k] for i in decomposition)
+                 for k in range(H.dim)) == tuple(w)
 
 
 def test_from_generators_validation():
@@ -101,15 +131,80 @@ def test_member_facts():
 
 def test_member_decompositions_resum():
     h9 = make_h3t(3)
-    gens = h9.generators
     for w in [(9, 9, 0), (10, 4, 4), (6, 6, 6), (12, 3, 3)]:
         result = member(h9, w)
         if result.member:
-            total = [0, 0, 0]
-            for idx in result.decomposition:
-                for k in range(3):
-                    total[k] += gens[idx][k]
-            assert tuple(total) == w
+            assert resums(h9, w, result.decomposition)
+
+
+def test_member_deep_query():
+    # a sum of 1500 generators: the former recursive search hit Python's
+    # recursion limit here
+    w = (2819, 2747, 1934)
+    result = member(CUBIC, w)
+    assert result.member
+    assert len(result.decomposition) == 1500
+    assert list(result.decomposition) == sorted(result.decomposition)
+    assert resums(CUBIC, w, result.decomposition)
+
+
+def test_member_needs_axis_multiples():
+    no_axes = AffineSemigroup.from_generators([(1, 1, 0), (0, 1, 1)])
+    with pytest.raises(UnsupportedSemigroupError):
+        member(no_axes, (1, 2, 1))
+
+
+def _level_sets(H, top):
+    """Levels 0..top of H by brute force: level k = level k-1 + gens."""
+    levels = [{(0,) * H.dim}]
+    for _ in range(top):
+        levels.append({tuple(a + b for a, b in zip(x, gen))
+                       for x in levels[-1] for gen in H.generators})
+    return levels
+
+
+def test_member_matches_exhaustive_level_sets():
+    named = {f"h3t({t})": make_h3t(t) for t in (1, 2, 3)}
+    named["hk(2,1)"] = make_hk(2, 1)
+    named["cubic"] = CUBIC
+    actions = gt_surface_actions(8)
+    for action in actions:
+        named[action] = semigroup_of_action(action)
+    for name, H in named.items():
+        levels = _level_sets(H, 6)
+        for k, level in enumerate(levels):
+            for w in exponent_vectors(H.dim, k * H.degree):
+                result = member(H, w)
+                assert result.member == (w in level), (name, w)
+                if result.member:
+                    assert resums(H, w, result.decomposition), (name, w)
+        if name in actions:
+            # GT semigroups are normal, so |level k| is the Hilbert function
+            for k in range(5):
+                assert len(levels[k]) == hf_by_counting(name, k), (name, k)
+
+
+def test_apery_size_is_lattice_index_exactly_when_cm():
+    # Rosales and Garcia-Sanchez: a simplicial affine semigroup is CM iff
+    # each class of its lattice mod the axis lattice holds one Apery element
+    named = {f"h3t({t})": make_h3t(t) for t in (1, 2, 3, 4)}
+    named.update({f"hk{p}": make_hk(*p) for p in ((2, 1), (3, 1), (2, 2))})
+    named["cubic"] = CUBIC
+    for name, gens in RANDOM_SETS.items():
+        named[name] = AffineSemigroup.from_generators(gens)
+    for action in gt_surface_actions(8):
+        named[action] = semigroup_of_action(action)
+    non_cm = set()
+    for name, H in named.items():
+        basis = _lattice_basis(H)
+        index = H.degree ** H.dim // abs(prod(basis[c][c]
+                                              for c in range(H.dim)))
+        apery_size = sum(len(v) for v in _apery(H)[1].values())
+        verified = trung_cm_check(H, 8).status == "verified-up-to-bound"
+        assert (apery_size == index) == verified, name
+        if not verified:
+            non_cm.add(name)
+    assert non_cm == {"cubic", "s5", "s6", "s7"}
 
 
 def test_lattice_member():
@@ -150,8 +245,7 @@ def test_trung_shifted_family():
 
 
 def test_trung_counterexample():
-    H = AffineSemigroup.from_generators(
-        [(5, 0, 0), (0, 5, 0), (0, 0, 5), (3, 1, 1), (2, 2, 1), (1, 3, 1)])
+    H = CUBIC
     report = trung_cm_check(H, 6)
     assert report.status == "counterexample"
     w = report.witness
