@@ -22,7 +22,7 @@ from .resolution import betti_table, generator_counts, series_from_betti
 from .semigroups import (AffineSemigroup, UnsupportedSemigroupError,
                          is_normal_up_to, make_h3t, make_hk, member,
                          trung_cm_check)
-from .togliatti import classify, wlp_fails_in_degree
+from .togliatti import classify
 from .toricideal import minimal_generators
 from .verify import run_reference_checks
 
@@ -157,7 +157,7 @@ def _cmd_invariants(args):
 def _cmd_classify(args):
     action = _action_from_args(args)
     result = classify(action)
-    check = wlp_fails_in_degree(action, action.d - 1)
+    check = result.wlp_check
     report = result.to_dict()
     report["wlp_check"] = check.to_dict()
     lines = [
@@ -363,8 +363,13 @@ def main(argv=None) -> int:
     else:
         text = "\n".join(lines) + "\n"
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write {args.output}: {exc}",
+                  file=sys.stderr)
+            return USAGE_ERROR
     else:
         sys.stdout.write(text)
     return status

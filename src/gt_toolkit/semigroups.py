@@ -10,8 +10,9 @@ generators, Ap(H) = {h in H | h - g*e_i is not in H for every i}.  Every
 element of H is an Apery element plus nonnegative multiples of the g*e_i,
 and Ap(H) is finite, so w lies in H exactly when some Apery element a
 with a = w (mod g) coordinatewise satisfies a <= w.  Ap(H) is built once
-per semigroup, level by level, and cached with the lattice basis; a
-query never recurses and allocates nothing that outlives it.
+per semigroup, level by level, and cached; its residue classes also
+answer lattice membership.  A query never recurses and allocates
+nothing that outlives it.
 
 Cohen-Macaulayness is certified through the one-dimensional test set
 
@@ -37,18 +38,6 @@ class UnsupportedSemigroupError(ValueError):
     """The semigroup lacks the axis multiples the cone logic relies on."""
 
 
-def _extended_gcd(a: int, b: int) -> tuple[int, int, int]:
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return old_r, old_s, old_t
-
-
 @dataclass(frozen=True)
 class AffineSemigroup:
     """Homogeneous affine semigroup with a fixed generator list.
@@ -61,7 +50,7 @@ class AffineSemigroup:
     generators: tuple[ExponentVector, ...]
     degree: int
 
-    # lattice basis and Apery set, each built on first use
+    # the Apery set, built on first use
     _cache: dict = field(default_factory=dict, init=False,
                          repr=False, compare=False)
 
@@ -243,49 +232,21 @@ def _apery(H: AffineSemigroup) -> tuple[tuple[int, ...], dict]:
     return axes, apery
 
 
-def _lattice_basis(H: AffineSemigroup) -> dict:
-    """Echelonized integer basis of the group generated by H, by column."""
-    cache = H._cache
-    if "basis" in cache:
-        return cache["basis"]
-    basis: dict = {}
-    for gen in H.generators:
-        row = list(gen)
-        for col in range(H.dim):
-            if row[col] == 0:
-                continue
-            pivot = basis.get(col)
-            if pivot is None:
-                if row[col] < 0:
-                    row = [-c for c in row]
-                basis[col] = row
-                row = None
-                break
-            g, x, y = _extended_gcd(pivot[col], row[col])
-            new_pivot = [x * p + y * r for p, r in zip(pivot, row)]
-            row = [(pivot[col] // g) * r - (row[col] // g) * p
-                   for p, r in zip(pivot, row)]
-            basis[col] = new_pivot
-        # fully reduced rows vanish; anything else was stored as a pivot
-    cache["basis"] = basis
-    return basis
-
-
 def lattice_member(H: AffineSemigroup, w) -> bool:
-    """Decide membership in the additive group generated by H."""
-    w = [int(c) for c in w]
+    """Decide membership in the additive group L generated by H.
+
+    L contains every g*e_i, so w lies in L exactly when its residue mod g
+    lies in L mod g.  The residues of H form a submonoid of the finite
+    group (Z/g)^dim, hence a subgroup, and that subgroup is L mod g;
+    every residue of H is the residue of an Apery element.  So w lies in
+    L exactly when its residue is a key of Ap(H).  Raises
+    UnsupportedSemigroupError when H lacks an axis multiple.
+    """
+    w = tuple(int(c) for c in w)
     if len(w) != H.dim:
         raise ValueError("vector length does not match the semigroup")
-    basis = _lattice_basis(H)
-    for col in range(H.dim):
-        if w[col] == 0:
-            continue
-        pivot = basis.get(col)
-        if pivot is None or w[col] % pivot[col] != 0:
-            return False
-        q = w[col] // pivot[col]
-        w = [c - q * p for c, p in zip(w, pivot)]
-    return all(c == 0 for c in w)
+    g = H.degree
+    return tuple(c % g for c in w) in _apery(H)[1]
 
 
 def _require_axes(H: AffineSemigroup) -> tuple[int, ...]:

@@ -93,9 +93,16 @@ class GtClassification:
     mu_d: int
     bound: int
     is_togliatti_candidate: bool
-    wlp_fails_at_d_minus_1: bool
-    kernel_dimension: int
+    wlp_check: WlpCheck  # the rank test in degree d-1
     is_gt_system: bool
+
+    @property
+    def wlp_fails_at_d_minus_1(self) -> bool:
+        return self.wlp_check.fails
+
+    @property
+    def kernel_dimension(self) -> int:
+        return self.wlp_check.kernel_dimension
 
     def to_dict(self) -> dict:
         return {"action": self.action.to_dict(), "mu_d": self.mu_d,
@@ -117,7 +124,6 @@ def classify(action: CyclicAction) -> GtClassification:
         mu_d=count,
         bound=bound,
         is_togliatti_candidate=candidate,
-        wlp_fails_at_d_minus_1=check.fails,
-        kernel_dimension=check.kernel_dimension,
+        wlp_check=check,
         is_gt_system=candidate and check.fails,
     )

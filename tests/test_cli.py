@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from gt_toolkit import cli, toricideal
+from gt_toolkit import cli, togliatti, toricideal
 
 
 def run(capsys, *argv):
@@ -185,3 +185,55 @@ def test_semigroup_member_deep_query(tmp_path, capsys):
     total = [sum(gens[i][k] for i in answer["decomposition"])
              for k in range(3)]
     assert total == [2819, 2747, 1934]
+
+
+def test_classify_ranks_once(capsys, monkeypatch):
+    # classify() already runs the WLP rank test; the CLI reuses its result
+    calls = []
+    real_rank = togliatti.integer_rank
+
+    def counting_rank(rows):
+        calls.append(len(rows))
+        return real_rank(rows)
+
+    monkeypatch.setattr(togliatti, "integer_rank", counting_rank)
+    status, out, _ = run(capsys, "classify", "5", "0,1,3")
+    assert status == 0 and "kernel dimension 1" in out
+    assert len(calls) == 1
+
+
+CUBIC_FILE = {"dim": 3, "generators": [[5, 0, 0], [0, 5, 0], [0, 0, 5],
+                                       [3, 1, 1], [2, 2, 1], [1, 3, 1]]}
+
+
+@pytest.mark.parametrize("case", [
+    "missing-file", "directory-input", "invalid-json", "true-weight",
+    "member-length", "bound-zero", "output-missing-dir", "output-is-dir",
+])
+def test_bad_input_never_ends_in_traceback(tmp_path, capsys, case):
+    # every failure is one "error:" line on stderr, exit 1, no report
+    semigroup = tmp_path / "semigroup.json"
+    semigroup.write_text(json.dumps(CUBIC_FILE))
+    broken = tmp_path / "broken.json"
+    broken.write_text('{"d": 5, "weights": [0, 1,')
+    action = tmp_path / "action.json"
+    action.write_text(json.dumps({"d": 5, "weights": [0, True, 3]}))
+    missing_dir = tmp_path / "absent" / "report.txt"
+    argv = {
+        "missing-file": ["semigroup", str(tmp_path / "absent.json")],
+        "directory-input": ["classify", "--file", str(tmp_path)],
+        "invalid-json": ["ideal", "--file", str(broken)],
+        "true-weight": ["classify", "--file", str(action)],
+        "member-length": ["semigroup", str(semigroup), "--member", "4,3"],
+        "bound-zero": ["h3t", "2", "--bound", "0"],
+        "output-missing-dir": ["classify", "5", "0,1,3",
+                               "--output", str(missing_dir)],
+        "output-is-dir": ["classify", "5", "0,1,3",
+                          "--output", str(tmp_path)],
+    }[case]
+    status, out, err = run(capsys, *argv)
+    assert (status, out) == (1, "")
+    assert err.startswith("error: ")
+    assert len(err.splitlines()) == 1
+    if case.startswith("output-"):
+        assert err.startswith(f"error: cannot write {argv[-1]}: ")

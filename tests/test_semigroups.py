@@ -1,11 +1,11 @@
-from math import gcd, prod
+from math import gcd
 
 import pytest
 
 from gt_toolkit.actions import CyclicAction, exponent_vectors
 from gt_toolkit.hilbert import hf_by_counting
 from gt_toolkit.semigroups import (AffineSemigroup, UnsupportedSemigroupError,
-                                   _apery, _lattice_basis, is_normal_up_to,
+                                   _apery, is_normal_up_to,
                                    lattice_member, lemma_two_zero_check,
                                    make_h3t, make_hk, member,
                                    saturation_member, semigroup_of_action,
@@ -184,6 +184,25 @@ def test_member_matches_exhaustive_level_sets():
                 assert len(levels[k]) == hf_by_counting(name, k), (name, k)
 
 
+def _residue_closure(H):
+    """Residues of H mod g, closed from the generators' residues.
+
+    They form a subgroup of (Z/g)^dim: the lattice of H modulo g*Z^dim.
+    """
+    g = H.degree
+    steps = {tuple(c % g for c in gen) for gen in H.generators}
+    closure = {(0,) * H.dim}
+    frontier = list(closure)
+    while frontier:
+        r = frontier.pop()
+        for s in steps:
+            t = tuple((a + b) % g for a, b in zip(r, s))
+            if t not in closure:
+                closure.add(t)
+                frontier.append(t)
+    return closure
+
+
 def test_apery_size_is_lattice_index_exactly_when_cm():
     # Rosales and Garcia-Sanchez: a simplicial affine semigroup is CM iff
     # each class of its lattice mod the axis lattice holds one Apery element
@@ -194,14 +213,17 @@ def test_apery_size_is_lattice_index_exactly_when_cm():
         named[name] = AffineSemigroup.from_generators(gens)
     for action in gt_surface_actions(8):
         named[action] = semigroup_of_action(action)
+    assert len(named) == 65
     non_cm = set()
     for name, H in named.items():
-        basis = _lattice_basis(H)
-        index = H.degree ** H.dim // abs(prod(basis[c][c]
-                                              for c in range(H.dim)))
-        apery_size = sum(len(v) for v in _apery(H)[1].values())
+        # the classes of the lattice mod g*Z^dim, counted without _apery:
+        # g^dim / [Z^dim : lattice] of them
+        closure = _residue_closure(H)
+        apery = _apery(H)[1]
+        assert set(apery) == closure, name
+        apery_size = sum(len(v) for v in apery.values())
         verified = trung_cm_check(H, 8).status == "verified-up-to-bound"
-        assert (apery_size == index) == verified, name
+        assert (apery_size == len(closure)) == verified, name
         if not verified:
             non_cm.add(name)
     assert non_cm == {"cubic", "s5", "s6", "s7"}
@@ -214,6 +236,22 @@ def test_lattice_member():
     for g in h6.generators:
         assert lattice_member(h6, g)
     assert lattice_member(h6, (0, 0, 0))
+    with pytest.raises(ValueError):
+        lattice_member(h6, (1, 2))
+    named = {"h3t(2)": h6, "cubic": CUBIC,
+             "s5": AffineSemigroup.from_generators(RANDOM_SETS["s5"]),
+             "s7": AffineSemigroup.from_generators(RANDOM_SETS["s7"]),
+             "(7; 0,1,3)": semigroup_of_action(CyclicAction(7, (0, 1, 3)))}
+    box = range(-7, 8)
+    for name, H in named.items():
+        closure = _residue_closure(H)
+        g = H.degree
+        for w in ((a, b, c) for a in box for b in box for c in box):
+            expected = tuple(x % g for x in w) in closure
+            assert lattice_member(H, w) == expected, (name, w)
+    no_axes = AffineSemigroup.from_generators([(1, 1, 0), (0, 1, 1)])
+    with pytest.raises(UnsupportedSemigroupError):
+        lattice_member(no_axes, (1, 2, 1))
 
 
 def test_saturation_member():
