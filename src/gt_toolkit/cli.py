@@ -40,11 +40,11 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _parse_weights(text: str) -> tuple[int, ...]:
+def _parse_ints(text: str, what: str) -> tuple[int, ...]:
     try:
         return tuple(int(p) for p in text.split(","))
     except ValueError as exc:
-        raise _UsageError(f"weights must be comma-separated integers: {exc}")
+        raise _UsageError(f"{what} must be comma-separated integers: {exc}")
 
 
 def _load_json(path: str) -> dict:
@@ -66,7 +66,7 @@ def _action_from_args(args) -> CyclicAction:
         return CyclicAction.from_dict(_load_json(args.file))
     if args.d is None or args.weights is None:
         raise _UsageError("need both d and weights (or --file)")
-    return CyclicAction(args.d, _parse_weights(args.weights))
+    return CyclicAction(args.d, _parse_ints(args.weights, "weights"))
 
 
 def build_parser() -> _Parser:
@@ -304,7 +304,7 @@ def _semigroup_report(H: AffineSemigroup, bound: int, query=None):
 
 def _cmd_semigroup(args):
     H = AffineSemigroup.from_dict(_load_json(args.file))
-    query = _parse_weights(args.member) if args.member else None
+    query = _parse_ints(args.member, "--member") if args.member else None
     return _semigroup_report(H, args.bound, query)
 
 

@@ -9,6 +9,7 @@ maximal rank from degree d-1 to degree d.  Both checks are exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 
 from .actions import (CyclicAction, ExponentVector, exponent_vectors,
                       invariant_monomials, mu_d)
@@ -28,16 +29,18 @@ def quotient_basis(action: CyclicAction, j: int) -> list[ExponentVector]:
     """Monomials of degree j outside the invariant ideal, lex descending.
 
     The ideal is generated in degree d, so below degree d the quotient
-    basis is all of R_j.
+    basis is all of R_j; from degree d on, its degree-j monomials are the
+    generators times the monomials of degree j - d.
     """
     if j < 0:
         raise ValueError("degree must be nonnegative")
     monos = exponent_vectors(action.nvars, j)
     if j < action.d:
         return monos
-    gens = invariant_monomials(action, 1).monomials
-    return [m for m in monos
-            if not any(all(g[i] <= m[i] for i in range(len(m))) for g in gens)]
+    ideal = {tuple(map(add, g, e))
+             for g in invariant_monomials(action, 1).monomials
+             for e in exponent_vectors(action.nvars, j - action.d)}
+    return [m for m in monos if m not in ideal]
 
 
 @dataclass(frozen=True)

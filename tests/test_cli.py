@@ -208,7 +208,8 @@ CUBIC_FILE = {"dim": 3, "generators": [[5, 0, 0], [0, 5, 0], [0, 0, 5],
 
 @pytest.mark.parametrize("case", [
     "missing-file", "directory-input", "invalid-json", "true-weight",
-    "member-length", "bound-zero", "output-missing-dir", "output-is-dir",
+    "member-length", "member-not-integer", "bound-zero", "output-missing-dir",
+    "output-is-dir",
 ])
 def test_bad_input_never_ends_in_traceback(tmp_path, capsys, case):
     # every failure is one "error:" line on stderr, exit 1, no report
@@ -225,6 +226,7 @@ def test_bad_input_never_ends_in_traceback(tmp_path, capsys, case):
         "invalid-json": ["ideal", "--file", str(broken)],
         "true-weight": ["classify", "--file", str(action)],
         "member-length": ["semigroup", str(semigroup), "--member", "4,3"],
+        "member-not-integer": ["semigroup", str(semigroup), "--member", "4,x"],
         "bound-zero": ["h3t", "2", "--bound", "0"],
         "output-missing-dir": ["classify", "5", "0,1,3",
                                "--output", str(missing_dir)],
@@ -237,3 +239,5 @@ def test_bad_input_never_ends_in_traceback(tmp_path, capsys, case):
     assert len(err.splitlines()) == 1
     if case.startswith("output-"):
         assert err.startswith(f"error: cannot write {argv[-1]}: ")
+    if case == "member-not-integer":
+        assert "--member" in err and "weights" not in err

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -85,6 +86,74 @@ def test_integer_rank_row_operations_invariance():
         scaled[rng.randrange(rows)] = [
             v * rng.choice([-3, -1, 2, 5]) for v in scaled[rng.randrange(rows)]]
         assert integer_rank(scaled) == _fraction_rank(scaled)
+
+
+def test_integer_rank_unlucky_prime():
+    # 2**61 - 1, the first prime, divides a pivot: rank 1 mod that prime
+    p = 2**61 - 1
+    assert integer_rank([[p, 0], [0, 1]]) == 2
+    assert integer_rank([[p, 0, 0], [0, 1, 1], [0, 2, 2]]) == 2
+    assert integer_rank([[p, 2 * p], [1, 2]]) == 1
+    # same rank mod p, but pivot column 2 in place of 1
+    assert integer_rank([[1, 0, 0], [0, p, 1], [0, 0, 0]]) == 2
+
+
+def test_integer_rank_kernel_beyond_one_prime():
+    # kernel (2**40, 1): its entry exceeds one prime's reconstruction range
+    m = [[1, -(2**40)], [3, -3 * 2**40]]
+    assert integer_rank(m) == _fraction_rank(m) == 1
+    wide = [[1, 2, 3], [2**40, 2**41, 3 * 2**40]]  # the transpose's kernel
+    assert integer_rank(wide) == _fraction_rank(wide) == 1
+
+
+def _product_matrix(rng, rows, cols, rank, size):
+    # a rows x cols matrix of rank at most `rank`, as a product
+    left = [[rng.randrange(-size, size + 1) for _ in range(rank)]
+            for _ in range(rows)]
+    right = [[rng.randrange(-size, size + 1) for _ in range(cols)]
+             for _ in range(rank)]
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)]
+            for row in left]
+
+
+def test_integer_rank_wide_and_tall():
+    rng = random.Random(7041)
+    for rows, cols in [(3, 9), (9, 3), (5, 12), (12, 5), (8, 8)]:
+        for rank in range(min(rows, cols) + 1):
+            for size in (1, 60, 10**6):
+                m = _product_matrix(rng, rows, cols, rank, size)
+                assert integer_rank(m) == _fraction_rank(m), (m, rank)
+    with pytest.raises(ValueError):
+        integer_rank([[1, 2], [3]])
+
+
+def test_integer_rank_matches_fraction_oracle_on_wlp_matrices(monkeypatch):
+    from gt_toolkit import togliatti
+    from gt_toolkit.actions import CyclicAction
+
+    captured = []
+
+    def capture(rows):
+        captured.append(rows)
+        return integer_rank(rows)
+
+    monkeypatch.setattr(togliatti, "integer_rank", capture)
+    classes = set()
+    for d in range(3, 10):
+        units = [u for u in range(1, d) if math.gcd(u, d) == 1]
+        for a in range(1, d):
+            for b in range(a + 1, d):
+                # unit scaling, shifts and permutations keep the matrix
+                # up to relabelling, hence its rank
+                key = min(tuple(sorted((u * w + c) % d for w in (0, a, b)))
+                          for u in units for c in range(d))
+                if math.gcd(a, b, d) == 1 and (d, key) not in classes:
+                    classes.add((d, key))
+                    togliatti.wlp_fails_in_degree(CyclicAction(d, (0, a, b)),
+                                                  d - 1)
+    assert len(captured) == len(classes) == 12
+    for rows in captured:
+        assert integer_rank(rows) == _fraction_rank(rows)
 
 
 def test_exact_int_rejects_non_integers():

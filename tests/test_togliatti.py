@@ -2,7 +2,8 @@ from math import comb, gcd
 
 import pytest
 
-from gt_toolkit.actions import CyclicAction, mu_d
+from gt_toolkit.actions import (CyclicAction, exponent_vectors,
+                                invariant_monomials, mu_d)
 from gt_toolkit.togliatti import (classify, generator_bound, quotient_basis,
                                   togliatti_bound_ok, wlp_fails_in_degree)
 
@@ -40,6 +41,19 @@ def test_quotient_basis_dimensions():
         d, n = action.d, action.n
         assert len(quotient_basis(action, d - 1)) == comb(n + d - 1, n)
         assert len(quotient_basis(action, d)) == comb(n + d, n) - mu_d(action)
+
+
+def test_quotient_basis_matches_divisibility_filter():
+    # second route: keep the degree-j monomials no generator divides
+    for action in [CyclicAction(5, (0, 1, 3)), CyclicAction(7, (0, 1, 3)),
+                   CyclicAction(4, (0, 1, 2, 3)),
+                   CyclicAction(5, (0, 1, 2, 3, 4))]:
+        gens = invariant_monomials(action, 1).monomials
+        for j in range(action.d, action.d + 3):
+            brute = [m for m in exponent_vectors(action.nvars, j)
+                     if not any(all(g[i] <= m[i] for i in range(len(m)))
+                                for g in gens)]
+            assert quotient_basis(action, j) == brute, (action, j)
 
 
 def test_classify_surface_families():
