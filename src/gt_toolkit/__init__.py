@@ -15,7 +15,6 @@ from .actions import (
 from .exactalg import (
     InternalDiscrepancy,
     binomial,
-    gcd_all,
     integer_rank,
 )
 from .hilbert import (

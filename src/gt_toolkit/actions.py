@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .exactalg import InternalDiscrepancy, exact_int, gcd_all
+from .exactalg import InternalDiscrepancy, exact_int
 
 # Monomials and semigroup elements are plain exponent tuples.
 ExponentVector = tuple[int, ...]
@@ -38,7 +38,7 @@ class CyclicAction:
             raise ValueError("need at least two variables")
         reduced = tuple(w % self.d for w in self.weights)
         object.__setattr__(self, "weights", reduced)
-        if gcd_all(list(reduced) + [self.d]) != 1:
+        if math.gcd(*reduced, self.d) != 1:
             raise ValueError(
                 f"gcd of weights {reduced} and order {self.d} must be 1")
 

@@ -78,21 +78,20 @@ def build_parser() -> _Parser:
                         default="table", help="output format")
     common.add_argument("--output", default=None,
                         help="write the report to this path instead of stdout")
+    action = _Parser(add_help=False)
+    action.add_argument("d", type=int, nargs="?")
+    action.add_argument("weights", nargs="?")
+    action.add_argument("--file", default=None, help="action JSON file instead")
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
 
-    p = sub.add_parser("invariants", parents=[common],
+    p = sub.add_parser("invariants", parents=[common, action],
                        help="invariant monomials per degree")
-    p.add_argument("d", type=int, nargs="?")
-    p.add_argument("weights", nargs="?")
-    p.add_argument("--file", default=None, help="action JSON file instead")
     p.add_argument("--t", type=int, default=1, dest="horizon",
                    help="list degrees t = 1..T (default 1)")
 
-    p = sub.add_parser("classify", parents=[common], help="Togliatti/GT classification")
-    p.add_argument("d", type=int, nargs="?")
-    p.add_argument("weights", nargs="?")
-    p.add_argument("--file", default=None, help="action JSON file instead")
+    sub.add_parser("classify", parents=[common, action],
+                   help="Togliatti/GT classification")
 
     p = sub.add_parser("hilbert", parents=[common], help="surface Hilbert data, three routes")
     p.add_argument("a", type=int)
@@ -105,10 +104,8 @@ def build_parser() -> _Parser:
     p.add_argument("b", type=int)
     p.add_argument("d", type=int)
 
-    p = sub.add_parser("ideal", parents=[common], help="binomial generators of the toric ideal")
-    p.add_argument("d", type=int, nargs="?")
-    p.add_argument("weights", nargs="?")
-    p.add_argument("--file", default=None, help="action JSON file instead")
+    sub.add_parser("ideal", parents=[common, action],
+                   help="binomial generators of the toric ideal")
 
     p = sub.add_parser("semigroup", parents=[common],
                        help="membership/normality/CM report from a JSON file")

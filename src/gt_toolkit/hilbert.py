@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .actions import CyclicAction, count_invariants
-from .exactalg import InternalDiscrepancy, gcd_all
+from .exactalg import InternalDiscrepancy
 
 
 def hf_by_counting(action: CyclicAction, t: int) -> int:
@@ -33,7 +33,7 @@ def hf_by_counting(action: CyclicAction, t: int) -> int:
 def _validate_surface(a: int, b: int, d: int):
     if not (0 < a < b < d):
         raise ValueError(f"need 0 < a < b < d, got (a, b, d) = ({a}, {b}, {d})")
-    if gcd_all([a, b, d]) != 1:
+    if math.gcd(a, b, d) != 1:
         raise ValueError(f"gcd(a, b, d) must be 1, got ({a}, {b}, {d})")
 
 
@@ -167,8 +167,7 @@ def surface_profile(a: int, b: int, d: int) -> SurfaceProfile:
     _validate_surface(a, b, d)
     g_a = math.gcd(a, d)
     g_b = math.gcd(b, d)
-    g, d_prime, lam, mu = _lambda_mu(a, b, d)
-    assert g == g_a
+    _, d_prime, lam, mu = _lambda_mu(a, b, d)
     theta = g_a + math.gcd(lam, d_prime) + math.gcd(lam - g_a, d_prime)
     counted = count_invariants(CyclicAction(d, (0, a, b)), 1)
     consistent = theta == 2 * counted - d - 2

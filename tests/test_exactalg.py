@@ -5,20 +5,7 @@ from fractions import Fraction
 import pytest
 
 from gt_toolkit.exactalg import (InternalDiscrepancy, binomial, exact_int,
-                                 gcd_all, integer_rank)
-
-
-def test_gcd_all_examples():
-    assert gcd_all([1, 2, 3]) == 1
-    assert gcd_all([4, 6]) == 2
-    assert gcd_all([-1, 2]) == 1
-    assert gcd_all([0, 0]) == 0
-    assert gcd_all([12]) == 12
-
-
-def test_gcd_all_empty():
-    with pytest.raises(ValueError):
-        gcd_all([])
+                                 integer_rank)
 
 
 def test_binomial_examples():
@@ -89,20 +76,22 @@ def test_integer_rank_row_operations_invariance():
 
 
 def test_integer_rank_unlucky_prime():
-    # 2**61 - 1, the first prime, divides a pivot: rank 1 mod that prime
+    # a large prime as a pivot and as the factor between rows: scaling by
+    # it and dividing it back out must neither lose nor invent a pivot
     p = 2**61 - 1
     assert integer_rank([[p, 0], [0, 1]]) == 2
     assert integer_rank([[p, 0, 0], [0, 1, 1], [0, 2, 2]]) == 2
     assert integer_rank([[p, 2 * p], [1, 2]]) == 1
-    # same rank mod p, but pivot column 2 in place of 1
+    # the large pivot sits in column 1 with a small entry beside it
     assert integer_rank([[1, 0, 0], [0, p, 1], [0, 0, 0]]) == 2
 
 
 def test_integer_rank_kernel_beyond_one_prime():
-    # kernel (2**40, 1): its entry exceeds one prime's reconstruction range
+    # entries far beyond a machine word, with a kernel (2**40, 1): the
+    # second row must cancel exactly against the first row's pivot
     m = [[1, -(2**40)], [3, -3 * 2**40]]
     assert integer_rank(m) == _fraction_rank(m) == 1
-    wide = [[1, 2, 3], [2**40, 2**41, 3 * 2**40]]  # the transpose's kernel
+    wide = [[1, 2, 3], [2**40, 2**41, 3 * 2**40]]  # a large multiple row
     assert integer_rank(wide) == _fraction_rank(wide) == 1
 
 
@@ -151,7 +140,12 @@ def test_integer_rank_matches_fraction_oracle_on_wlp_matrices(monkeypatch):
                     classes.add((d, key))
                     togliatti.wlp_fails_in_degree(CyclicAction(d, (0, a, b)),
                                                   d - 1)
-    assert len(captured) == len(classes) == 12
+    # 4 variables, d <= 6: pivot entries reach 20, so rows are scaled
+    for d, weights in [(4, (0, 1, 2, 3)), (5, (0, 1, 2, 3)), (6, (0, 1, 2, 3)),
+                       (6, (0, 1, 2, 4)), (6, (0, 1, 3, 4))]:
+        classes.add((d, weights))
+        togliatti.wlp_fails_in_degree(CyclicAction(d, weights), d - 1)
+    assert len(captured) == len(classes) == 17
     for rows in captured:
         assert integer_rank(rows) == _fraction_rank(rows)
 

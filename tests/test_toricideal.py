@@ -122,11 +122,10 @@ def test_counts_against_formulas_with_known_exceptions():
 
 
 def _incidence_rank(rows, gens):
-    """Rank of the dense incidence matrix of rows e_u - e_v, by the
-    certified rank of exactalg (elimination mod a prime, then a kernel
-    basis checked over Z).  Both ends of a row have the same product
-    monomial, so the matrix is block diagonal by product and its rank is
-    the sum of the block ranks."""
+    """Rank of the dense incidence matrix of rows e_u - e_v, by the exact
+    sparse elimination over Z of exactalg.  Both ends of a row have the
+    same product monomial, so the matrix is block diagonal by product and
+    its rank is the sum of the block ranks."""
     blocks = {}
     for u, v in rows:
         product = tuple(map(sum, zip(*(gens[i] for i in u))))
