@@ -19,9 +19,8 @@ from .hilbert import (catalog_notes, hf_by_counting, hf_closed_form,
                       hf_reduced, hilbert_series, surface_invariants,
                       surface_profile)
 from .resolution import betti_table, generator_counts, series_from_betti
-from .semigroups import (AffineSemigroup, UnsupportedSemigroupError,
-                         is_normal_up_to, make_h3t, make_hk, member,
-                         trung_cm_check)
+from .semigroups import (AffineSemigroup, is_normal_up_to, make_h3t, make_hk,
+                         member, trung_cm_check)
 from .togliatti import classify
 from .toricideal import minimal_generators
 from .verify import run_reference_checks
@@ -346,10 +345,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         report, lines, status = _COMMANDS[args.command](args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except (ValueError, UnsupportedSemigroupError) as exc:
+    except (_UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except InternalDiscrepancy as exc:

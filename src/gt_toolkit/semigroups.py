@@ -11,8 +11,9 @@ element of H is an Apery element plus nonnegative multiples of the g*e_i,
 and Ap(H) is finite, so w lies in H exactly when some Apery element a
 with a = w (mod g) coordinatewise satisfies a <= w.  Ap(H) is built once
 per semigroup, level by level, and cached; its residue classes also
-answer lattice membership.  A query never recurses and allocates
-nothing that outlives it.
+answer lattice membership.  Each Apery element is re-summed from its
+generator indices when it is stored.  A query never recurses and
+allocates nothing that outlives it.
 
 Cohen-Macaulayness is certified through the one-dimensional test set
 
@@ -22,7 +23,8 @@ Cohen-Macaulayness is certified through the one-dimensional test set
 which equals H exactly when the semigroup ring is Cohen-Macaulay.  The
 test set is infinite, so the certificate is bounded: "verified up to
 degree D" scans every graded level through D and never claims more.  A
-counterexample witness, by contrast, is unconditional.
+counterexample witness, by contrast, is unconditional.  The scans read
+the Apery classes directly: w and its translates w + g*e_k share one.
 """
 
 from __future__ import annotations
@@ -56,8 +58,8 @@ class AffineSemigroup:
 
     @classmethod
     def from_generators(cls, generators) -> "AffineSemigroup":
-        gens = sorted({tuple(int(c) for c in g) for g in generators},
-                      reverse=True)
+        gens = sorted({tuple(exact_int(c, "generator coordinate") for c in g)
+                       for g in generators}, reverse=True)
         if not gens:
             raise ValueError("a semigroup needs at least one generator")
         dim = len(gens[0])
@@ -80,9 +82,6 @@ class AffineSemigroup:
                 not all(isinstance(g, list) for g in gens):
             raise ValueError("malformed semigroup input: need a list of "
                              "generator lists")
-        for g in gens:
-            for c in g:
-                exact_int(c, "generator coordinate")
         semigroup = cls.from_generators(gens)
         if "dim" in data and exact_int(data["dim"], "dim") != semigroup.dim:
             raise ValueError("declared dim does not match the generators")
@@ -92,19 +91,15 @@ class AffineSemigroup:
         return {"dim": self.dim, "generators": [list(g) for g in self.generators]}
 
     def axis_generator_indices(self) -> tuple[int, ...] | None:
-        """Index of the axis-multiple generator for each coordinate, if all exist."""
-        found = []
-        for axis in range(self.dim):
-            hit = None
-            for idx, g in enumerate(self.generators):
-                if g[axis] > 0 and all(c == 0 for k, c in enumerate(g)
-                                       if k != axis):
-                    hit = idx
-                    break
-            if hit is None:
-                return None
-            found.append(hit)
-        return tuple(found)
+        """Index of the axis-multiple generator for each coordinate, if all exist.
+
+        Homogeneity leaves degree*e_k as the only possible axis multiple.
+        """
+        index = {g: idx for idx, g in enumerate(self.generators)}
+        found = tuple(index.get((0,) * k + (self.degree,)
+                                + (0,) * (self.dim - 1 - k))
+                      for k in range(self.dim))
+        return None if None in found else found
 
 
 def semigroup_of_action(action: CyclicAction) -> AffineSemigroup:
@@ -118,19 +113,12 @@ def make_h3t(t: int) -> AffineSemigroup:
 
     Base case t = 1 is generated by the three axis triples of sum 3 plus
     (1, 1, 1); each later step keeps fresh axis vectors of sum 3t and
-    shifts the previous generators by (1, 1, 1).  The generator count is
-    3t + 1.
+    shifts the previous generators by (1, 1, 1): make_hk(1, t - 1).  The
+    generator count is 3t + 1.
     """
     if t < 1:
         raise ValueError("t must be at least 1")
-    gens = [(3, 0, 0), (0, 3, 0), (0, 0, 3), (1, 1, 1)]
-    for s in range(2, t + 1):
-        shifted = [(a + 1, b + 1, c + 1) for a, b, c in gens]
-        gens = [(3 * s, 0, 0), (0, 3 * s, 0), (0, 0, 3 * s)] + shifted
-    semigroup = AffineSemigroup.from_generators(gens)
-    if len(semigroup.generators) != 3 * t + 1:
-        raise InternalDiscrepancy(f"expected {3 * t + 1} generators for t={t}")
-    return semigroup
+    return make_hk(1, t - 1)
 
 
 def make_hk(k: int, t_prime: int) -> AffineSemigroup:
@@ -176,24 +164,40 @@ def member(H: AffineSemigroup, w) -> Membership:
     valid witness, checked by re-summing, not a canonical one.  Raises
     UnsupportedSemigroupError when H lacks an axis multiple.
     """
-    w = tuple(int(c) for c in w)
-    if len(w) != H.dim:
-        raise ValueError("vector length does not match the semigroup")
+    w = _vector(H, w)
     axes, apery = _apery(H)
     g = H.degree
-    for a, indices in apery.get(tuple(c % g for c in w), ()):
-        if all(x <= y for x, y in zip(a, w)):
-            break
-    else:
+    hit = _below(apery.get(tuple(c % g for c in w), ()), w)
+    if hit is None:
         return Membership(False, None)
+    a, indices = hit
     for k, idx in enumerate(axes):
         indices += (idx,) * ((w[k] - a[k]) // g)
     decomposition = tuple(sorted(indices))
-    # decompositions must re-sum to the query
-    parts = [H.generators[idx] for idx in decomposition]
-    if tuple(map(sum, zip((0,) * H.dim, *parts))) != w:
+    if _resum(H, decomposition) != w:
         raise InternalDiscrepancy(f"decomposition of {w} does not re-sum")
     return Membership(True, decomposition)
+
+
+def _vector(H: AffineSemigroup, w) -> tuple[int, ...]:
+    """w as a tuple of exact integers of H's dimension, else ValueError."""
+    w = tuple(exact_int(c, "vector coordinate") for c in w)
+    if len(w) != H.dim:
+        raise ValueError("vector length does not match the semigroup")
+    return w
+
+
+def _below(entries, v):
+    """The first (element, generator indices) of entries lying <= v, or None."""
+    for entry in entries:
+        if all(x <= y for x, y in zip(entry[0], v)):
+            return entry
+    return None
+
+
+def _resum(H: AffineSemigroup, indices) -> tuple[int, ...]:
+    parts = [H.generators[idx] for idx in indices]
+    return tuple(map(sum, zip((0,) * H.dim, *parts)))
 
 
 def _apery(H: AffineSemigroup) -> tuple[tuple[int, ...], dict]:
@@ -225,11 +229,26 @@ def _apery(H: AffineSemigroup) -> tuple[tuple[int, ...], dict]:
         level = []
         for h, indices in candidates.items():
             known = apery.setdefault(tuple(c % g for c in h), [])
-            if not any(all(x <= y for x, y in zip(a, h)) for a, _ in known):
+            if _below(known, h) is None:
+                if _resum(H, indices) != h:
+                    raise InternalDiscrepancy(
+                        f"Apery element {h} does not re-sum")
                 known.append((h, indices))
                 level.append((h, indices))
     cache["apery"] = (axes, apery)
     return axes, apery
+
+
+def _lattice_points(H: AffineSemigroup, bound: int):
+    """(level, w, Apery class of w) for each lattice point w >= 0 through
+    level `bound`, level by level and lex descending within a level."""
+    g = H.degree
+    apery = _apery(H)[1]
+    for level in range(bound + 1):
+        for w in exponent_vectors(H.dim, level * g):
+            entries = apery.get(tuple(c % g for c in w))
+            if entries is not None:
+                yield level, w, entries
 
 
 def lattice_member(H: AffineSemigroup, w) -> bool:
@@ -242,9 +261,7 @@ def lattice_member(H: AffineSemigroup, w) -> bool:
     L exactly when its residue is a key of Ap(H).  Raises
     UnsupportedSemigroupError when H lacks an axis multiple.
     """
-    w = tuple(int(c) for c in w)
-    if len(w) != H.dim:
-        raise ValueError("vector length does not match the semigroup")
+    w = _vector(H, w)
     g = H.degree
     return tuple(c % g for c in w) in _apery(H)[1]
 
@@ -265,9 +282,7 @@ def saturation_member(H: AffineSemigroup, w) -> bool:
     lattice of H.
     """
     _require_axes(H)
-    w = tuple(int(c) for c in w)
-    if len(w) != H.dim:
-        raise ValueError("vector length does not match the semigroup")
+    w = _vector(H, w)
     if any(c < 0 for c in w):
         return False
     return lattice_member(H, w)
@@ -295,12 +310,9 @@ def is_normal_up_to(H: AffineSemigroup, bound: int) -> NormalityReport:
     _require_axes(H)
     if bound < 0:
         raise ValueError("bound must be nonnegative")
-    for level in range(0, bound + 1):
-        for w in exponent_vectors(H.dim, level * H.degree):
-            if not lattice_member(H, w):
-                continue
-            if not member(H, w).member:
-                return NormalityReport(False, bound, w)
+    for _, w, entries in _lattice_points(H, bound):
+        if _below(entries, w) is None:
+            return NormalityReport(False, bound, w)
     return NormalityReport(True, bound, None)
 
 
@@ -334,51 +346,36 @@ def trung_cm_check(H: AffineSemigroup, bound: int) -> TrungReport:
     """Bounded search for a failure of the H1 = H criterion.
 
     The f_i are the axis-multiple generators; they are rationally
-    independent, and z = g multiplies every generator into their span
-    (checked, reported in hypothesis_ok).  Any candidate with two
-    translates w + f_i, w + f_j inside H is automatically nonnegative,
-    because each f is supported on a single axis, so scanning the
-    orthant level by level is a complete search.
+    independent.  In a homogeneous H the f_i are g*e_i, so z = g
+    multiplies every generator into their span and hypothesis_ok always
+    holds.  Any candidate with two translates w + f_i, w + f_j inside H
+    is automatically nonnegative, because each f is supported on a
+    single axis, so scanning the orthant level by level is a complete
+    search.  The translates share w's residue, hence its Apery class.
     """
     axes = _require_axes(H)
     if bound < 0:
         raise ValueError("bound must be nonnegative")
     g = H.degree
-    hypothesis_ok = True
-    for gen in H.generators:
-        for axis, idx in enumerate(axes):
-            scale = H.generators[idx][axis]
-            if (g * gen[axis]) % scale != 0:
-                hypothesis_ok = False
-    f_vectors = [H.generators[idx] for idx in axes]
-    lattice_points = 0
-    pair_hits = 0
-    for level in range(0, bound + 1):
-        for w in exponent_vectors(H.dim, level * g):
-            if not lattice_member(H, w):
-                continue
-            lattice_points += 1
-            translates_in = 0
-            for f in f_vectors:
-                shifted = tuple(a + b for a, b in zip(w, f))
-                if member(H, shifted).member:
-                    translates_in += 1
-                    if translates_in == 2:
-                        break
-            if translates_in < 2:
-                continue
-            pair_hits += 1
-            if not member(H, w).member:
-                stats = {"levels_scanned": level + 1,
-                         "lattice_points": lattice_points,
-                         "pair_hits": pair_hits}
-                return TrungReport(axes, bound, hypothesis_ok, g,
-                                   "counterexample", w, stats)
-    stats = {"levels_scanned": bound + 1,
-             "lattice_points": lattice_points,
-             "pair_hits": pair_hits}
-    return TrungReport(axes, bound, hypothesis_ok, g,
-                       "verified-up-to-bound", None, stats)
+    status, witness, levels_scanned = "verified-up-to-bound", None, bound + 1
+    lattice_points = pair_hits = 0
+    for level, w, entries in _lattice_points(H, bound):
+        lattice_points += 1
+        translates_in = 0
+        for k in range(H.dim):
+            if _below(entries, w[:k] + (w[k] + g,) + w[k + 1:]) is not None:
+                translates_in += 1
+                if translates_in == 2:
+                    break
+        if translates_in < 2:
+            continue
+        pair_hits += 1
+        if _below(entries, w) is None:
+            status, witness, levels_scanned = "counterexample", w, level + 1
+            break
+    stats = {"levels_scanned": levels_scanned,
+             "lattice_points": lattice_points, "pair_hits": pair_hits}
+    return TrungReport(axes, bound, True, g, status, witness, stats)
 
 
 def lemma_two_zero_check(t: int, box: int) -> bool:

@@ -2,9 +2,11 @@ from math import gcd
 
 import pytest
 
+from gt_toolkit import semigroups
 from gt_toolkit.actions import CyclicAction, exponent_vectors
 from gt_toolkit.hilbert import hf_by_counting
-from gt_toolkit.semigroups import (AffineSemigroup, UnsupportedSemigroupError,
+from gt_toolkit.semigroups import (AffineSemigroup, NormalityReport,
+                                   TrungReport, UnsupportedSemigroupError,
                                    _apery, is_normal_up_to,
                                    lattice_member, lemma_two_zero_check,
                                    make_h3t, make_hk, member,
@@ -54,6 +56,19 @@ def test_from_generators_validation():
         AffineSemigroup.from_generators([(-1, 2)])
     H = AffineSemigroup.from_generators([(0, 3), (3, 0), (0, 3)])
     assert H.generators == ((3, 0), (0, 3)) and H.degree == 3
+
+
+def test_non_integer_coordinates_are_rejected():
+    # int() used to truncate them: (2.9, 2, 2) was a member of h3t(2)
+    with pytest.raises(ValueError, match="generator coordinate"):
+        AffineSemigroup.from_generators([(6.9, 0, 0), (0, 6, 0), (0, 0, 6)])
+    with pytest.raises(ValueError, match="generator coordinate"):
+        AffineSemigroup.from_generators([(True, 0), (0, 1)])
+    h6 = make_h3t(2)
+    for query in (member, lattice_member, saturation_member):
+        for w in [(2.9, 2, 2), (6.0, 0, 0), ("6", 0, 0), (False, 0, 6)]:
+            with pytest.raises(ValueError, match="vector coordinate"):
+                query(h6, w)
 
 
 def test_semigroup_of_action():
@@ -203,9 +218,7 @@ def _residue_closure(H):
     return closure
 
 
-def test_apery_size_is_lattice_index_exactly_when_cm():
-    # Rosales and Garcia-Sanchez: a simplicial affine semigroup is CM iff
-    # each class of its lattice mod the axis lattice holds one Apery element
+def _apery_test_semigroups():
     named = {f"h3t({t})": make_h3t(t) for t in (1, 2, 3, 4)}
     named.update({f"hk{p}": make_hk(*p) for p in ((2, 1), (3, 1), (2, 2))})
     named["cubic"] = CUBIC
@@ -214,8 +227,14 @@ def test_apery_size_is_lattice_index_exactly_when_cm():
     for action in gt_surface_actions(8):
         named[action] = semigroup_of_action(action)
     assert len(named) == 65
+    return named
+
+
+def test_apery_size_is_lattice_index_exactly_when_cm():
+    # Rosales and Garcia-Sanchez: a simplicial affine semigroup is CM iff
+    # each class of its lattice mod the axis lattice holds one Apery element
     non_cm = set()
-    for name, H in named.items():
+    for name, H in _apery_test_semigroups().items():
         # the classes of the lattice mod g*Z^dim, counted without _apery:
         # g^dim / [Z^dim : lattice] of them
         closure = _residue_closure(H)
@@ -227,6 +246,69 @@ def test_apery_size_is_lattice_index_exactly_when_cm():
         if not verified:
             non_cm.add(name)
     assert non_cm == {"cubic", "s5", "s6", "s7"}
+
+
+def _normality_by_member(H, bound):
+    """The normality scan through the public API: one lattice_member and
+    one member call per point."""
+    for level in range(bound + 1):
+        for w in exponent_vectors(H.dim, level * H.degree):
+            if lattice_member(H, w) and not member(H, w).member:
+                return NormalityReport(False, bound, w)
+    return NormalityReport(True, bound, None)
+
+
+def _trung_by_member(H, bound):
+    """The CM scan through the public API: lattice_member per point and
+    member per point and per axis translate, with the hypothesis loop."""
+    axes = H.axis_generator_indices()
+    g = H.degree
+    hypothesis_ok = all((g * gen[k]) % H.generators[idx][k] == 0
+                        for gen in H.generators
+                        for k, idx in enumerate(axes))
+    f_vectors = [H.generators[idx] for idx in axes]
+    lattice_points = pair_hits = 0
+    for level in range(bound + 1):
+        for w in exponent_vectors(H.dim, level * g):
+            if not lattice_member(H, w):
+                continue
+            lattice_points += 1
+            translates_in = 0
+            for f in f_vectors:
+                shifted = tuple(a + b for a, b in zip(w, f))
+                if member(H, shifted).member:
+                    translates_in += 1
+                    if translates_in == 2:
+                        break
+            if translates_in < 2:
+                continue
+            pair_hits += 1
+            if not member(H, w).member:
+                stats = {"levels_scanned": level + 1,
+                         "lattice_points": lattice_points,
+                         "pair_hits": pair_hits}
+                return TrungReport(axes, bound, hypothesis_ok, g,
+                                   "counterexample", w, stats)
+    stats = {"levels_scanned": bound + 1, "lattice_points": lattice_points,
+             "pair_hits": pair_hits}
+    return TrungReport(axes, bound, hypothesis_ok, g,
+                       "verified-up-to-bound", None, stats)
+
+
+def test_scans_match_public_member_route(monkeypatch):
+    named = _apery_test_semigroups()
+    expected = {name: (_normality_by_member(H, 8).to_dict(),
+                       _trung_by_member(H, 8).to_dict())
+                for name, H in named.items()}
+
+    def forbidden(*args):
+        raise AssertionError("the scans must read the Apery classes")
+
+    monkeypatch.setattr(semigroups, "member", forbidden)
+    monkeypatch.setattr(semigroups, "lattice_member", forbidden)
+    for name, H in named.items():
+        got = (is_normal_up_to(H, 8).to_dict(), trung_cm_check(H, 8).to_dict())
+        assert got == expected[name], name
 
 
 def test_lattice_member():
