@@ -10,10 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .actions import CyclicAction, mu_d
+from .actions import CyclicAction
 from .exactalg import InternalDiscrepancy, binomial
-from .hilbert import SurfaceProfile, hf_by_counting, hilbert_series
-from .toricideal import fiber_partition
+from .hilbert import SurfaceProfile, hilbert_series
+from .toricideal import fiber_partition, ideal_dimension
 
 
 @dataclass(frozen=True)
@@ -125,10 +125,8 @@ def first_betti_via_fibers(action: CyclicAction, i: int) -> int:
     """
     if i < 1:
         raise ValueError("i must be at least 1")
-    m = mu_d(action)
-    by_hf = binomial(m + i, i + 1) - hf_by_counting(action, i + 1)
-    partition = fiber_partition(action, i + 1)
-    by_fibers = partition.relation_count
+    by_hf = ideal_dimension(action, i + 1)
+    by_fibers = fiber_partition(action, i + 1).relation_count
     if by_hf != by_fibers:
         raise InternalDiscrepancy(
             f"fiber count {by_fibers} disagrees with binomial-minus-HF "

@@ -384,13 +384,16 @@ def lemma_two_zero_check(t: int, box: int) -> bool:
     Scans every vector with exactly one zero coordinate and the other
     two in [1, box]: such a vector lies in the t-th semigroup of the
     shifted family exactly when both nonzero coordinates are multiples
-    of 3t.
+    of 3t.  Each vector is decided on its cached Apery class, as the
+    scans do.
     """
     if t < 1:
         raise ValueError("t must be at least 1")
     if box < 1:
         raise ValueError("box must be at least 1")
     H = make_h3t(t)
+    apery = _apery(H)[1]
+    g = H.degree
     modulus = 3 * t
     for zero_pos in range(3):
         for a in range(1, box + 1):
@@ -398,6 +401,7 @@ def lemma_two_zero_check(t: int, box: int) -> bool:
                 w = [a, b]
                 w.insert(zero_pos, 0)
                 expected = a % modulus == 0 and b % modulus == 0
-                if member(H, tuple(w)).member != expected:
+                entries = apery.get(tuple(c % g for c in w), ())
+                if (_below(entries, w) is not None) != expected:
                     return False
     return True

@@ -1,21 +1,21 @@
 """Low-degree graded pieces of the toric ideal of a GT-variety.
 
 Multisets of j generators are grouped by their product monomial; two
-multisets in the same fiber give a binomial in the ideal.  Every such
-binomial is a difference e_u - e_v of two basis monomials, so a span of
-them is the cut space of a graph on the basis monomials: a row lies in
-the span of earlier rows exactly when u and v are already connected,
-and the rank is the number of rows that joined two components.  The
-spans are tracked with union-find, so no elimination is needed.  This
-is the Markov-basis view of Diaconis and Sturmfels: the minimal
-generators in one multidegree number the components of its fiber
-graph minus one.
+multisets in the same fiber give a binomial in the ideal, and the
+degree-j piece has one dimension per fiber member beyond the first.
+The minimal generators follow the Markov-basis view of Diaconis and
+Sturmfels.  In one fiber, join two multisets A and B when they share a
+generator index v: A - v and B - v then lie in one lower-degree fiber,
+so A - B is v times a lower-degree binomial.  The minimal generators in
+one multidegree therefore number the components of this fiber graph
+minus one, and a small union-find per fiber finds them, so no
+elimination is needed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from operator import add
 
 from .actions import CyclicAction, ExponentVector, invariant_monomials
 from .exactalg import InternalDiscrepancy, binomial
@@ -42,25 +42,26 @@ class FiberPartition:
         return [(p, ms) for p, ms in self.fibers.items() if len(ms) > 1]
 
 
-def _product(generators, multiset: tuple[int, ...]) -> ExponentVector:
-    acc = [0] * len(generators[0])
-    for idx in multiset:
-        g = generators[idx]
-        for k in range(len(acc)):
-            acc[k] += g[k]
-    return tuple(acc)
-
-
 def fiber_partition(action: CyclicAction, j: int) -> FiberPartition:
-    """Group all degree-j generator multisets by coordinatewise sum."""
+    """Group all degree-j generator multisets by coordinatewise sum.
+
+    Multisets grow one index at a time, never below their last, so they
+    come out lex ascending and each product is one addition away from
+    its parent's.  The levels are chained generators: only the fibers
+    are ever held in memory.
+    """
     if j < 1:
         raise ValueError("degree must be at least 1")
     gens = invariant_monomials(action, 1).monomials
+    level = (((i,), g) for i, g in enumerate(gens))
+    for _ in range(j - 1):
+        level = ((multiset + (i,), tuple(map(add, product, gens[i])))
+                 for multiset, product in level
+                 for i in range(multiset[-1], len(gens)))
     groups: dict = {}
-    for multiset in combinations_with_replacement(range(len(gens)), j):
-        groups.setdefault(_product(gens, multiset), []).append(multiset)
-    ordered = {p: tuple(sorted(groups[p]))
-               for p in sorted(groups, reverse=True)}
+    for multiset, product in level:
+        groups.setdefault(product, []).append(multiset)
+    ordered = {p: tuple(groups[p]) for p in sorted(groups, reverse=True)}
     return FiberPartition(action, j, gens, ordered)
 
 
@@ -77,10 +78,11 @@ class BinomialGeneratorSet:
     """Minimal binomial generators in degrees 2 and 3, plus a closure marker.
 
     degree4_deficit counts the degree-4 ideal dimensions not reached by
-    multiplying the degree-3 piece with variables; 0 certifies that no
-    new generator is needed in degree 4.  For surfaces regularity 3
-    makes the set complete; for more variables completeness is only
-    claimed through the verified degree.
+    multiplying the degree-3 piece with variables: over the degree-4
+    fibers, the components of the fiber graph minus one.  0 certifies
+    that no new generator is needed in degree 4.  For surfaces
+    regularity 3 makes the set complete; for more variables
+    completeness is only claimed through the verified degree.
     """
 
     action: CyclicAction
@@ -108,103 +110,62 @@ class BinomialGeneratorSet:
         }
 
 
-def _base_differences(partition: FiberPartition) -> list[Binomial]:
-    """One spanning difference per non-basepoint multiset, fiber by fiber."""
-    out = []
-    for _, multisets in partition.fibers.items():
-        base = multisets[0]
-        for other in multisets[1:]:
-            out.append((base, other))
-    return out
+def _component_leaders(multisets) -> list:
+    """First member of each component of one fiber, in input order.
 
-
-def _shift(pair: Binomial, var: int) -> Binomial:
-    return tuple(sorted(pair[0] + (var,))), tuple(sorted(pair[1] + (var,)))
-
-
-class _CutSpan:
-    """Span of rows e_u - e_v, tracked as components of a graph.
-
-    Union-find over basis monomials with iterative path halving; only
-    non-root monomials are stored.  add() reports whether the row
-    enlarged the span, i.e. joined two components.
+    Fibers are lex ascending, so that is each component's least member.
+    Two multisets are joined when they share a generator index, so the
+    components follow from union-find over the generator indices, each
+    multiset uniting its own; path halving keeps it iterative.
     """
+    parent = {idx: idx for multiset in multisets for idx in multiset}
 
-    def __init__(self):
-        self._parent: dict = {}
-        self.rank = 0
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
 
-    def _find(self, x):
-        parent = self._parent
-        while True:
-            p = parent.get(x)
-            if p is None:
-                return x
-            gp = parent.get(p)
-            if gp is None:
-                return p
-            parent[x] = gp
-            x = gp
-
-    def add(self, pair: Binomial) -> bool:
-        ru, rv = self._find(pair[0]), self._find(pair[1])
-        if ru == rv:
-            return False
-        self._parent[rv] = ru
-        self.rank += 1
-        return True
+    for multiset in multisets:
+        root = find(multiset[0])
+        for idx in multiset[1:]:
+            parent[find(idx)] = root
+    leaders: dict = {}
+    for multiset in multisets:
+        leaders.setdefault(find(multiset[0]), multiset)
+    return list(leaders.values())
 
 
 def minimal_generators(action: CyclicAction) -> BinomialGeneratorSet:
     """Explicit minimal generators of the toric ideal through degree 3.
 
     Degree-2 fibers give an independent spanning set of quadric
-    binomials outright.  The cubic generators are the fiber differences
-    that extend the span of variable-times-quadric rows; the extension
-    is chosen greedily in canonical basis order, so the witness set is
-    reproducible.  A final rank check compares the degree-4 piece with
-    variable multiples of the degree-3 piece.
+    binomials outright: each fiber's least multiset paired with every
+    other.  In each degree-3 fiber, taken in canonical order, a cubic
+    pairs the fiber's least multiset with the least multiset of every
+    other component, so the witness set is reproducible.  The degree-4
+    components give degree4_deficit.  Each degree's fiber count is
+    checked against binomial-minus-HF.
     """
-    gens = invariant_monomials(action, 1).monomials
-    nvars = len(gens)
+    partitions = {}
+    for j in (2, 3, 4):
+        partitions[j] = fiber_partition(action, j)
+        if partitions[j].relation_count != ideal_dimension(action, j):
+            raise InternalDiscrepancy(
+                f"degree-{j} fiber differences do not span for {action}")
 
-    deg2 = fiber_partition(action, 2)
-    quadrics = _base_differences(deg2)
-    if len(quadrics) != ideal_dimension(action, 2):
-        raise InternalDiscrepancy(
-            f"degree-2 fiber differences do not span for {action}")
-
-    span3 = _CutSpan()
-    for pair in quadrics:
-        for var in range(nvars):
-            span3.add(_shift(pair, var))
-
-    deg3 = fiber_partition(action, 3)
-    dim3 = ideal_dimension(action, 3)
-    if deg3.relation_count != dim3:
-        raise InternalDiscrepancy(
-            f"degree-3 fiber differences do not span for {action}")
-    product_rank = span3.rank
+    quadrics = [(ms[0], other)
+                for ms in partitions[2].fibers.values() for other in ms[1:]]
     cubics = []
-    for pair in _base_differences(deg3):
-        if span3.add(pair):
-            cubics.append(pair)
-    if span3.rank != dim3 or len(cubics) != dim3 - product_rank:
-        raise InternalDiscrepancy(
-            f"cubic witness extension is inconsistent for {action}")
-
-    span4 = _CutSpan()
-    for pair in _base_differences(deg3):
-        for var in range(nvars):
-            span4.add(_shift(pair, var))
-    deficit = ideal_dimension(action, 4) - span4.rank
-    if deficit < 0:
-        raise InternalDiscrepancy(
-            f"degree-4 span exceeds the ideal for {action}")
+    for _, multisets in partitions[3].nontrivial():
+        leaders = _component_leaders(multisets)
+        cubics.extend((leaders[0], other) for other in leaders[1:])
+    deficit = sum(len(_component_leaders(ms)) - 1
+                  for _, ms in partitions[4].nontrivial())
 
     return BinomialGeneratorSet(
         action=action,
-        generators=gens,
+        generators=partitions[2].generators,
         quadrics=tuple(quadrics),
         cubics=tuple(cubics),
         degree4_deficit=deficit,

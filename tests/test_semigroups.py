@@ -412,6 +412,25 @@ def test_lemma_two_zero_check():
     assert lemma_two_zero_check(3, 18)
     with pytest.raises(ValueError):
         lemma_two_zero_check(0, 5)
+    with pytest.raises(ValueError):
+        lemma_two_zero_check(1, 0)
+
+
+def test_lemma_two_zero_check_reads_apery_classes(monkeypatch):
+    # the public member route agrees with the lemma on a box, and the
+    # check itself reaches the same answer without calling it
+    H = make_h3t(2)
+    for a in range(1, 13):
+        for b in range(1, 13):
+            expected = a % 6 == 0 and b % 6 == 0
+            for w in ((0, a, b), (a, 0, b), (a, b, 0)):
+                assert member(H, w).member == expected, w
+
+    def forbidden(*args):
+        raise AssertionError("the check must read the Apery classes")
+
+    monkeypatch.setattr(semigroups, "member", forbidden)
+    assert all(lemma_two_zero_check(t, 18) for t in (1, 2, 3))
 
 
 def test_two_nonzero_component_dichotomy():

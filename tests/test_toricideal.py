@@ -6,7 +6,7 @@ from gt_toolkit.actions import CyclicAction
 from gt_toolkit.exactalg import integer_rank
 from gt_toolkit.hilbert import surface_profile
 from gt_toolkit.resolution import generator_counts
-from gt_toolkit.toricideal import (_CutSpan, fiber_partition,
+from gt_toolkit.toricideal import (_component_leaders, fiber_partition,
                                    ideal_dimension, minimal_generators)
 
 
@@ -144,17 +144,12 @@ def _incidence_rank(rows, gens):
     return total
 
 
-def _union_find_rank(rows):
-    span = _CutSpan()
-    for row in rows:
-        span.add(row)
-    return span.rank
-
-
-def test_union_find_spans_match_dense_rank():
-    # second route for every rank minimal_generators derives from spans
+def test_fiber_components_match_dense_rank():
+    # second route for every count minimal_generators derives from fiber
+    # components: the ranks of the spans the components stand for
     for d, weights in [(5, (0, 1, 2)), (6, (0, 1, 3)), (5, (0, 1, 3)),
-                       (7, (0, 1, 3)), (4, (0, 1, 2, 3)), (5, (0, 1, 2, 3))]:
+                       (7, (0, 1, 3)), (4, (0, 1, 2, 3)), (5, (0, 1, 2, 3)),
+                       (6, (0, 1, 2, 4))]:
         action = CyclicAction(d, weights)
         result = minimal_generators(action)
         gens = result.generators
@@ -169,7 +164,6 @@ def test_union_find_spans_match_dense_rank():
         products = shifts(result.quadrics)
         spans = (products, products + differences, shifts(differences))
         dense = [_incidence_rank(rows, gens) for rows in spans]
-        assert dense == [_union_find_rank(rows) for rows in spans]
 
         dim3 = ideal_dimension(action, 3)
         product_rank = dim3 - len(result.cubics)
@@ -179,13 +173,97 @@ def test_union_find_spans_match_dense_rank():
             result.degree4_deficit, (d, weights)
 
 
-def test_union_find_rank_is_iterative():
-    # one long path of joins: no recursion, whatever the path length
-    chain = [((i,), (i + 1,)) for i in range(20000)]
-    span = _CutSpan()
-    assert all(span.add(row) for row in reversed(chain))
-    assert not span.add(((0,), (20000,)))
-    assert span.rank == 20000
+def test_component_leaders_is_iterative():
+    # one fiber whose multisets form a path of shared generators, 20000
+    # long: no recursion, whatever the path length
+    chain = [(i, i + 1) for i in range(20000)]
+    assert _component_leaders(chain[::-1]) == [chain[-1]]
+    assert _component_leaders(chain[::2]) == chain[::2]
+    assert _component_leaders([(0, 0), (1, 2), (0, 3), (2, 4), (3, 5)]) == \
+        [(0, 0), (1, 2)]
+
+
+# minimal_generators(...).to_dict() as the earlier shifted-row span route
+# gave it; the witness order is part of every ideal report
+GENERATOR_GOLDENS = {
+    (3, (0, 1, 2)): {
+        "quadrics": [],
+        "cubics": [
+            [[0, 2, 3], [1, 1, 1]],
+        ],
+        "counts": {"quadrics": 0, "cubics": 1},
+        "degree4_deficit": 0,
+        "verified_through_degree": 4,
+    },
+    (5, (0, 1, 3)): {
+        "quadrics": [
+            [[1, 4], [2, 2]],
+        ],
+        "cubics": [
+            [[0, 2, 3], [1, 1, 1]],
+            [[0, 3, 4], [1, 1, 2]],
+        ],
+        "counts": {"quadrics": 1, "cubics": 2},
+        "degree4_deficit": 0,
+        "verified_through_degree": 4,
+    },
+    (7, (0, 1, 3)): {
+        "quadrics": [
+            [[0, 3], [1, 1]],
+            [[1, 4], [2, 2]],
+            [[2, 5], [3, 3]],
+        ],
+        "cubics": [
+            [[0, 4, 5], [1, 2, 3]],
+        ],
+        "counts": {"quadrics": 3, "cubics": 1},
+        "degree4_deficit": 0,
+        "verified_through_degree": 4,
+    },
+    (5, (0, 1, 2, 3)): {
+        "quadrics": [
+            [[0, 6], [1, 1]],
+            [[0, 8], [1, 2]],
+            [[0, 9], [1, 3]],
+            [[1, 4], [2, 3]],
+            [[1, 7], [2, 4]],
+            [[1, 8], [2, 6]],
+            [[1, 8], [3, 5]],
+            [[1, 9], [3, 6]],
+            [[3, 7], [4, 4]],
+            [[2, 8], [4, 5]],
+            [[2, 9], [3, 8]],
+            [[2, 9], [4, 6]],
+            [[2, 10], [3, 9]],
+            [[2, 11], [5, 5]],
+            [[3, 11], [5, 6]],
+            [[4, 8], [6, 7]],
+            [[4, 11], [5, 8]],
+            [[5, 9], [6, 8]],
+            [[5, 10], [6, 9]],
+            [[8, 10], [9, 9]],
+        ],
+        "cubics": [
+            [[0, 5, 7], [2, 2, 2]],
+            [[0, 4, 10], [3, 3, 3]],
+            [[0, 7, 10], [3, 3, 4]],
+            [[0, 7, 11], [2, 2, 5]],
+            [[0, 10, 11], [1, 6, 6]],
+            [[1, 10, 11], [6, 6, 6]],
+            [[7, 9, 11], [8, 8, 8]],
+            [[7, 10, 11], [8, 8, 9]],
+        ],
+        "counts": {"quadrics": 20, "cubics": 8},
+        "degree4_deficit": 0,
+        "verified_through_degree": 4,
+    },
+}
+
+
+def test_minimal_generators_to_dict_goldens():
+    for (d, weights), expected in GENERATOR_GOLDENS.items():
+        got = minimal_generators(CyclicAction(d, weights)).to_dict()
+        assert got == expected, (d, weights)
 
 
 def test_threefold_runs_with_marker():
