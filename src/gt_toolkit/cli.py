@@ -5,12 +5,18 @@ but carries a flagged internal discrepancy or an internal cross-check
 failed, 3 a verification check failed.  Output is deterministic:
 identical inputs give byte-identical output in both table and JSON
 formats.
+
+One argument parser serves every main() call in a process: it is built
+on the first call, not at import.  Integer arguments and the
+comma-separated vectors accept only ASCII decimals, [+-]?[0-9]+.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import re
 import sys
 
 from .actions import CyclicAction, format_monomial, invariant_monomials
@@ -39,10 +45,23 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def _int(text: str) -> int:
+    """A decimal integer written [+-]?[0-9]+, nothing else.
+
+    int() alone would also take "1_3" and non-ASCII digits.
+    """
+    if _INTEGER.fullmatch(text) is None:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
+
+
 def _parse_ints(text: str, what: str) -> tuple[int, ...]:
     try:
-        return tuple(int(p) for p in text.split(","))
-    except ValueError as exc:
+        return tuple(_int(p) for p in text.split(","))
+    except argparse.ArgumentTypeError as exc:
         raise _UsageError(f"{what} must be comma-separated integers: {exc}")
 
 
@@ -68,7 +87,10 @@ def _action_from_args(args) -> CyclicAction:
     return CyclicAction(args.d, _parse_ints(args.weights, "weights"))
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argument parser, built once on first use and shared by every
+    main() call; parsing never changes it."""
     parser = _Parser(prog="gt-toolkit",
                      description="Exact invariants of GT-systems, "
                                  "GT-varieties and affine semigroups.")
@@ -78,7 +100,7 @@ def build_parser() -> _Parser:
     common.add_argument("--output", default=None,
                         help="write the report to this path instead of stdout")
     action = _Parser(add_help=False)
-    action.add_argument("d", type=int, nargs="?")
+    action.add_argument("d", type=_int, nargs="?")
     action.add_argument("weights", nargs="?")
     action.add_argument("--file", default=None, help="action JSON file instead")
     sub = parser.add_subparsers(dest="command", required=True,
@@ -86,22 +108,22 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("invariants", parents=[common, action],
                        help="invariant monomials per degree")
-    p.add_argument("--t", type=int, default=1, dest="horizon",
+    p.add_argument("--t", type=_int, default=1, dest="horizon",
                    help="list degrees t = 1..T (default 1)")
 
     sub.add_parser("classify", parents=[common, action],
                    help="Togliatti/GT classification")
 
     p = sub.add_parser("hilbert", parents=[common], help="surface Hilbert data, three routes")
-    p.add_argument("a", type=int)
-    p.add_argument("b", type=int)
-    p.add_argument("d", type=int)
-    p.add_argument("--t", type=int, default=6, dest="horizon")
+    p.add_argument("a", type=_int)
+    p.add_argument("b", type=_int)
+    p.add_argument("d", type=_int)
+    p.add_argument("--t", type=_int, default=6, dest="horizon")
 
     p = sub.add_parser("betti", parents=[common], help="Betti table and generator counts")
-    p.add_argument("a", type=int)
-    p.add_argument("b", type=int)
-    p.add_argument("d", type=int)
+    p.add_argument("a", type=_int)
+    p.add_argument("b", type=_int)
+    p.add_argument("d", type=_int)
 
     sub.add_parser("ideal", parents=[common, action],
                    help="binomial generators of the toric ideal")
@@ -109,18 +131,18 @@ def build_parser() -> _Parser:
     p = sub.add_parser("semigroup", parents=[common],
                        help="membership/normality/CM report from a JSON file")
     p.add_argument("file")
-    p.add_argument("--bound", type=int, default=6)
+    p.add_argument("--bound", type=_int, default=6)
     p.add_argument("--member", default=None,
                    help="optional comma-separated vector to test")
 
     p = sub.add_parser("h3t", parents=[common], help="shifted family constructor + CM report")
-    p.add_argument("t", type=int)
-    p.add_argument("--bound", type=int, default=6)
+    p.add_argument("t", type=_int)
+    p.add_argument("--bound", type=_int, default=6)
 
     p = sub.add_parser("hk", parents=[common], help="k-step family constructor + CM report")
-    p.add_argument("k", type=int)
-    p.add_argument("tprime", type=int)
-    p.add_argument("--bound", type=int, default=6)
+    p.add_argument("k", type=_int)
+    p.add_argument("tprime", type=_int)
+    p.add_argument("--bound", type=_int, default=6)
 
     sub.add_parser("verify-paper", parents=[common],
                    help="run the published-value reference suite")

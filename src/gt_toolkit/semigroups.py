@@ -23,16 +23,17 @@ Cohen-Macaulayness is certified through the one-dimensional test set
 which equals H exactly when the semigroup ring is Cohen-Macaulay.  The
 test set is infinite, so the certificate is bounded: "verified up to
 degree D" scans every graded level through D and never claims more.  A
-counterexample witness, by contrast, is unconditional.  The scans read
-the Apery classes directly: w and its translates w + g*e_k share one.
+counterexample witness, by contrast, is unconditional.  The scans build
+only lattice points, walking a trie of the Apery residue keys, and read
+the Apery classes directly: w and its translates w + g*e_k share one,
+so one walk over that class decides w and all its translates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .actions import (CyclicAction, ExponentVector, exponent_vectors,
-                      invariant_monomials)
+from .actions import CyclicAction, ExponentVector, invariant_monomials
 from .exactalg import InternalDiscrepancy, exact_int
 
 
@@ -241,14 +242,72 @@ def _apery(H: AffineSemigroup) -> tuple[tuple[int, ...], dict]:
 
 def _lattice_points(H: AffineSemigroup, bound: int):
     """(level, w, Apery class of w) for each lattice point w >= 0 through
-    level `bound`, level by level and lex descending within a level."""
+    level `bound`, level by level and lex descending within a level.
+
+    Only lattice points are built.  The residue keys of Ap(H) form a
+    trie: a node maps each allowed residue of coordinate i to the node
+    for coordinate i + 1, and the node of the last coordinate maps its
+    residue to the class.  A coordinate runs over the values its node
+    allows, largest first.  The last coordinate is fixed by the level
+    sum, and its residue is the one key of its node, since keys and
+    lattice points both sum to 0 mod g.
+    """
     g = H.degree
-    apery = _apery(H)[1]
+    last = H.dim - 1
+    trie: dict = {}
+    for key, entries in _apery(H)[1].items():
+        node = trie
+        for r in key[:last]:
+            node = node.setdefault(r, {})
+        node[key[last]] = entries
     for level in range(bound + 1):
-        for w in exponent_vectors(H.dim, level * g):
-            entries = apery.get(tuple(c % g for c in w))
-            if entries is not None:
-                yield level, w, entries
+        stack = [((), level * g, trie)]
+        while stack:
+            prefix, remaining, node = stack.pop()
+            if len(prefix) == last:
+                yield level, prefix + (remaining,), node[remaining % g]
+                continue
+            children = _descending(node, remaining, g)
+            if len(prefix) < last - 1:
+                stack.extend((prefix + (y,), remaining - y, child)
+                             for y, child in reversed(children))
+                continue
+            for y, child in children:
+                rest = remaining - y
+                yield level, prefix + (y, rest), child[rest % g]
+
+
+def _descending(node: dict, remaining: int, g: int) -> list:
+    """(y, node[y mod g]) for each y in [0, remaining] whose residue is a
+    key of node, y descending: the residues, ordered by their largest
+    value, repeat in steps of g."""
+    offsets = sorted(((remaining - r) % g, child) for r, child in node.items())
+    return [(top - offset, child) for top in range(remaining, -1, -g)
+            for offset, child in offsets if offset <= top]
+
+
+def _point_test(entries, w, g) -> tuple[bool, int]:
+    """(w in H, how many w + g*e_k lie in H), from one walk over w's class.
+
+    An Apery element a of w's class lies below w exactly when it exceeds
+    w nowhere; then w and each of its translates lie in H.  It lies below
+    w + g*e_k exactly when it exceeds w in coordinate k alone, by g: as
+    a = w (mod g), any excess is already at least g.
+    """
+    translates = set()
+    for a, _ in entries:
+        over = None
+        for k, x in enumerate(a):
+            if x > w[k]:
+                if over is not None:
+                    break
+                over = k
+        else:
+            if over is None:
+                return True, len(w)
+            if a[over] == w[over] + g:
+                translates.add(over)
+    return False, len(translates)
 
 
 def lattice_member(H: AffineSemigroup, w) -> bool:
@@ -350,8 +409,11 @@ def trung_cm_check(H: AffineSemigroup, bound: int) -> TrungReport:
     multiplies every generator into their span and hypothesis_ok always
     holds.  Any candidate with two translates w + f_i, w + f_j inside H
     is automatically nonnegative, because each f is supported on a
-    single axis, so scanning the orthant level by level is a complete
-    search.  The translates share w's residue, hence its Apery class.
+    single axis, so scanning the lattice points of the orthant level by
+    level is a complete search.  The translates share w's residue, hence
+    its Apery class, and one walk over that class decides w and every
+    translate.  The witness is the lex-largest failure of the lowest
+    failing level; the counts run up to and including it.
     """
     axes = _require_axes(H)
     if bound < 0:
@@ -361,16 +423,11 @@ def trung_cm_check(H: AffineSemigroup, bound: int) -> TrungReport:
     lattice_points = pair_hits = 0
     for level, w, entries in _lattice_points(H, bound):
         lattice_points += 1
-        translates_in = 0
-        for k in range(H.dim):
-            if _below(entries, w[:k] + (w[k] + g,) + w[k + 1:]) is not None:
-                translates_in += 1
-                if translates_in == 2:
-                    break
+        in_h, translates_in = _point_test(entries, w, g)
         if translates_in < 2:
             continue
         pair_hits += 1
-        if _below(entries, w) is None:
+        if not in_h:
             status, witness, levels_scanned = "counterexample", w, level + 1
             break
     stats = {"levels_scanned": levels_scanned,

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import add
 
-from .actions import CyclicAction, ExponentVector, invariant_monomials
+from .actions import CyclicAction, ExponentVector, invariant_monomials, mu_d
 from .exactalg import InternalDiscrepancy, binomial
 from .hilbert import hf_by_counting
 
@@ -66,10 +66,14 @@ def fiber_partition(action: CyclicAction, j: int) -> FiberPartition:
 
 
 def ideal_dimension(action: CyclicAction, j: int) -> int:
-    """dim of the degree-j piece: binomial(mu_d+j-1, j) minus HF(j)."""
+    """dim of the degree-j piece: binomial(mu_d+j-1, j) minus HF(j).
+
+    Both mu_d and HF(j) are counted, never enumerated, so the check
+    against a fiber partition does not reuse the generator list it groups.
+    """
     if j < 0:
         raise ValueError("degree must be nonnegative")
-    m = len(invariant_monomials(action, 1).monomials)
+    m = mu_d(action)
     return binomial(m + j - 1, j) - hf_by_counting(action, j)
 
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -209,7 +213,11 @@ CUBIC_FILE = {"dim": 3, "generators": [[5, 0, 0], [0, 5, 0], [0, 0, 5],
 @pytest.mark.parametrize("case", [
     "missing-file", "directory-input", "invalid-json", "true-weight",
     "member-length", "member-not-integer", "bound-zero", "output-missing-dir",
-    "output-is-dir",
+    "output-is-dir", "d-underscore", "weight-arabic-digit",
+    "member-fullwidth-digit", "a-underscore", "b-arabic-digit",
+    "hilbert-t-underscore", "invariants-t-arabic-digit", "t-underscore",
+    "k-devanagari-digit", "tprime-underscore", "bound-arabic-digit",
+    "semigroup-bound-underscore",
 ])
 def test_bad_input_never_ends_in_traceback(tmp_path, capsys, case):
     # every failure is one "error:" line on stderr, exit 1, no report
@@ -232,6 +240,22 @@ def test_bad_input_never_ends_in_traceback(tmp_path, capsys, case):
                                "--output", str(missing_dir)],
         "output-is-dir": ["classify", "5", "0,1,3",
                           "--output", str(tmp_path)],
+        # int() alone takes "_" separators and non-ASCII decimal digits
+        "d-underscore": ["classify", "1_3", "0,1,3"],
+        "weight-arabic-digit": ["classify", "13", "0,1,\u0663"],
+        "member-fullwidth-digit": ["semigroup", str(semigroup),
+                                   "--member", "5,0,\uff10"],
+        "a-underscore": ["hilbert", "0_1", "2", "3"],
+        "b-arabic-digit": ["betti", "1", "\u0664", "8"],
+        "hilbert-t-underscore": ["hilbert", "1", "2", "3", "--t", "1_0"],
+        "invariants-t-arabic-digit": ["invariants", "5", "0,1,3",
+                                      "--t", "\u0662"],
+        "t-underscore": ["h3t", "1_0"],
+        "k-devanagari-digit": ["hk", "\u0968", "1"],
+        "tprime-underscore": ["hk", "2", "0_1"],
+        "bound-arabic-digit": ["h3t", "2", "--bound", "\u0663"],
+        "semigroup-bound-underscore": ["semigroup", str(semigroup),
+                                       "--bound", "1_0"],
     }[case]
     status, out, err = run(capsys, *argv)
     assert (status, out) == (1, "")
@@ -241,3 +265,25 @@ def test_bad_input_never_ends_in_traceback(tmp_path, capsys, case):
         assert err.startswith(f"error: cannot write {argv[-1]}: ")
     if case == "member-not-integer":
         assert "--member" in err and "weights" not in err
+
+
+def test_signed_ascii_integers_still_parse(capsys):
+    assert run(capsys, "classify", "+5", "0,+1,3") == \
+        run(capsys, "classify", "5", "0,1,3")
+
+
+def test_parser_is_shared_and_unchanged_by_a_failed_parse(capsys):
+    # main() builds the parser once; a rejected argv must leave it as a
+    # fresh interpreter would build it
+    assert cli.build_parser() is cli.build_parser()
+    status, out, _ = run(capsys, "hk", "2", "--bound", "x")
+    assert (status, out) == (1, "")
+    argv = ["hk", "2", "1", "--bound", "3"]
+    status, out, err = run(capsys, *argv)
+    assert (status, err) == (0, "")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    fresh = subprocess.run([sys.executable, "-m", "gt_toolkit.cli", *argv],
+                           capture_output=True, text=True, env=env,
+                           check=True)
+    assert out == fresh.stdout

@@ -7,7 +7,8 @@ from gt_toolkit.actions import CyclicAction, exponent_vectors
 from gt_toolkit.hilbert import hf_by_counting
 from gt_toolkit.semigroups import (AffineSemigroup, NormalityReport,
                                    TrungReport, UnsupportedSemigroupError,
-                                   _apery, is_normal_up_to,
+                                   _apery, _below, _lattice_points,
+                                   _point_test, is_normal_up_to,
                                    lattice_member, lemma_two_zero_check,
                                    make_h3t, make_hk, member,
                                    saturation_member, semigroup_of_action,
@@ -309,6 +310,44 @@ def test_scans_match_public_member_route(monkeypatch):
     for name, H in named.items():
         got = (is_normal_up_to(H, 8).to_dict(), trung_cm_check(H, 8).to_dict())
         assert got == expected[name], name
+
+
+def _orthant_filter(H, bound):
+    """(level, w, Apery class) by filtering every orthant point of each
+    level through a residue lookup, lex descending within a level."""
+    g = H.degree
+    apery = _apery(H)[1]
+    out = []
+    for level in range(bound + 1):
+        for w in exponent_vectors(H.dim, level * g):
+            key = tuple(c % g for c in w)
+            if key in apery:
+                out.append((level, w, apery[key]))
+    return out
+
+
+def _scan_test_semigroups():
+    named = _apery_test_semigroups()
+    named["dim 1"] = AffineSemigroup.from_generators([(4,)])
+    named["dim 2"] = AffineSemigroup.from_generators([(3, 0), (0, 3), (1, 2)])
+    named["dim 4"] = semigroup_of_action(CyclicAction(4, (0, 1, 2, 3)))
+    return named
+
+
+def test_lattice_points_match_orthant_filter():
+    for name, H in _scan_test_semigroups().items():
+        assert list(_lattice_points(H, 8)) == _orthant_filter(H, 8), name
+
+
+def test_point_test_matches_below_on_point_and_translates():
+    for name, H in _scan_test_semigroups().items():
+        g = H.degree
+        for _, w, entries in _lattice_points(H, 8):
+            in_h = _below(entries, w) is not None
+            translates = sum(
+                _below(entries, w[:k] + (w[k] + g,) + w[k + 1:]) is not None
+                for k in range(H.dim))
+            assert _point_test(entries, w, g) == (in_h, translates), (name, w)
 
 
 def test_lattice_member():
