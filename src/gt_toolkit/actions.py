@@ -130,47 +130,47 @@ def exponent_vectors(nvars: int, total: int) -> list[ExponentVector]:
 
 
 def invariant_monomials(action: CyclicAction, t: int) -> InvariantBasis:
-    """Enumerate the degree t*d invariant monomials, lex descending."""
+    """Enumerate the degree t*d invariant monomials, lex descending; the
+    last two coordinates solve a congruence, stepped by d/gcd."""
     if t < 1:
         raise ValueError("t must be at least 1")
     d = action.d
     w = action.weights
     n = action.n
-    total = t * d
     out = []
     vec = [0] * (n + 1)
 
-    # own pruned recursion: filtering exponent_vectors measured 4-5x slower
     def rec(idx: int, remaining: int, wsum: int):
-        if idx == n:
-            vec[idx] = remaining
-            if (wsum + w[idx] * remaining) % d == 0:
+        if idx == n - 1:
+            # y + y_n = remaining and (w_{n-1} - w_n)*y = -wsum - w_n*remaining
+            solution = _congruence(w[idx] - w[n], -wsum - w[n] * remaining, d)
+            if solution is None:
+                return
+            y0, step = solution
+            # the largest y <= remaining in the class of y0, down to y0
+            for y in range(remaining - (remaining - y0) % step, -1, -step):
+                vec[idx] = y
+                vec[n] = remaining - y
                 out.append(tuple(vec))
             return
         for y in range(remaining, -1, -1):
             vec[idx] = y
             rec(idx + 1, remaining - y, wsum + w[idx] * y)
 
-    rec(0, total, 0)
+    rec(0, t * d, 0)
     return InvariantBasis(action, t, tuple(out))
 
 
-def _count_congruence(a: int, c: int, mod: int, upper: int) -> int:
-    """Number of y in [0, upper] with a*y = c (mod mod)."""
-    if upper < 0:
-        return 0
+def _congruence(a: int, c: int, mod: int) -> tuple[int, int] | None:
+    """(y0, step) such that a*y = c (mod mod) exactly when y = y0
+    (mod step), with 0 <= y0 < step; None when there is no solution."""
     a %= mod
     c %= mod
     g = math.gcd(a, mod)
     if c % g:
-        return 0
-    m = mod // g
-    if m == 1:
-        return upper + 1
-    y0 = (c // g) * pow(a // g, -1, m) % m
-    if y0 > upper:
-        return 0
-    return (upper - y0) // m + 1
+        return None
+    step = mod // g
+    return (c // g) * pow(a // g, -1, step) % step, step
 
 
 def count_invariants(action: CyclicAction, t: int) -> int:
@@ -189,9 +189,10 @@ def count_invariants(action: CyclicAction, t: int) -> int:
     def rec(idx: int, remaining: int, wsum: int) -> int:
         if idx == 1:
             # y0 + y1 = remaining and w0*y0 + w1*y1 = -wsum (mod d)
-            a = w[1] - w[0]
-            c = -wsum - w[0] * remaining
-            return _count_congruence(a, c, d, remaining)
+            solution = _congruence(w[1] - w[0], -wsum - w[0] * remaining, d)
+            if solution is None or solution[0] > remaining:
+                return 0
+            return (remaining - solution[0]) // solution[1] + 1
         acc = 0
         for y in range(remaining + 1):
             acc += rec(idx - 1, remaining - y, wsum + w[idx] * y)

@@ -7,17 +7,21 @@ The minimal generators follow the Markov-basis view of Diaconis and
 Sturmfels.  In one fiber, join two multisets A and B when they share a
 generator index v: A - v and B - v then lie in one lower-degree fiber,
 so A - B is v times a lower-degree binomial.  The minimal generators in
-one multidegree therefore number the components of this fiber graph
-minus one, and a small union-find per fiber finds them, so no
-elimination is needed.
+multidegree b number the components of this fiber graph minus one, and
+the generators alone give them: join u and v when g_u + g_v <= b.  That
+is exact, as every invariant of degree t*d is a product of t generators
+(actions.egz_factor): each g_v <= b and each such pair is in a multiset.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add
+from functools import reduce
+from itertools import accumulate
+from operator import add, and_, getitem, or_, sub
 
-from .actions import CyclicAction, ExponentVector, invariant_monomials, mu_d
+from .actions import (CyclicAction, ExponentVector, count_invariants,
+                      invariant_monomials, mu_d)
 from .exactalg import InternalDiscrepancy, binomial
 from .hilbert import hf_by_counting
 
@@ -37,9 +41,6 @@ class FiberPartition:
     @property
     def relation_count(self) -> int:
         return sum(len(ms) - 1 for ms in self.fibers.values())
-
-    def nontrivial(self) -> list[tuple[ExponentVector, tuple]]:
-        return [(p, ms) for p, ms in self.fibers.items() if len(ms) > 1]
 
 
 def fiber_partition(action: CyclicAction, j: int) -> FiberPartition:
@@ -114,62 +115,79 @@ class BinomialGeneratorSet:
         }
 
 
-def _component_leaders(multisets) -> list:
-    """First member of each component of one fiber, in input order.
-
-    Fibers are lex ascending, so that is each component's least member.
-    Two multisets are joined when they share a generator index, so the
-    components follow from union-find over the generator indices, each
-    multiset uniting its own; path halving keeps it iterative.
-    """
-    parent = {idx: idx for multiset in multisets for idx in multiset}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for multiset in multisets:
-        root = find(multiset[0])
-        for idx in multiset[1:]:
-            parent[find(idx)] = root
-    leaders: dict = {}
-    for multiset in multisets:
-        leaders.setdefault(find(multiset[0]), multiset)
-    return list(leaders.values())
+def _component_roots(vertices: int, neighbours) -> list[int]:
+    """Least vertex of each component, ascending, of the graph on the bits
+    of vertices; neighbours(u) is the bitmask of u's neighbours.  Flood
+    fill over a bitmask frontier: a loop, never recursion."""
+    roots = []
+    while vertices:
+        component = frontier = vertices & -vertices
+        roots.append(component.bit_length() - 1)
+        while frontier and component != vertices:
+            bit = frontier & -frontier
+            frontier ^= bit
+            fresh = neighbours(bit.bit_length() - 1) & ~component
+            component |= fresh
+            frontier |= fresh
+        vertices &= ~component
+    return roots
 
 
 def minimal_generators(action: CyclicAction) -> BinomialGeneratorSet:
     """Explicit minimal generators of the toric ideal through degree 3.
 
-    Degree-2 fibers give an independent spanning set of quadric
-    binomials outright: each fiber's least multiset paired with every
-    other.  In each degree-3 fiber, taken in canonical order, a cubic
-    pairs the fiber's least multiset with the least multiset of every
-    other component, so the witness set is reproducible.  The degree-4
-    components give degree4_deficit.  Each degree's fiber count is
-    checked against binomial-minus-HF.
+    Quadrics pair each degree-2 fiber's least multiset with every other.
+    Each invariant b of degree 3d or 4d gets its generator graph: the
+    g_v <= b, joined when g_u + g_v <= b, which is exact as b - g_u - g_v
+    factors into generators (egz_factor).  For b lex descending, a cubic
+    pairs the least multiset (v0, lowest neighbour i2 of v0, rest of b)
+    of b's first component with that of every other; the degree-4
+    components give degree4_deficit.  Degree 2 checks its fibers against
+    binomial-minus-HF, degrees 3 and 4 the number of b against the
+    counted HF and that each b has a generator below it.
     """
-    partitions = {}
-    for j in (2, 3, 4):
-        partitions[j] = fiber_partition(action, j)
-        if partitions[j].relation_count != ideal_dimension(action, j):
-            raise InternalDiscrepancy(
-                f"degree-{j} fiber differences do not span for {action}")
-
+    squares = fiber_partition(action, 2)
+    if squares.relation_count != ideal_dimension(action, 2):
+        raise InternalDiscrepancy(
+            f"degree-2 fiber differences do not span for {action}")
     quadrics = [(ms[0], other)
-                for ms in partitions[2].fibers.values() for other in ms[1:]]
-    cubics = []
-    for _, multisets in partitions[3].nontrivial():
-        leaders = _component_leaders(multisets)
-        cubics.extend((leaders[0], other) for other in leaders[1:])
-    deficit = sum(len(_component_leaders(ms)) - 1
-                  for _, ms in partitions[4].nontrivial())
+                for ms in squares.fibers.values() for other in ms[1:]]
+    gens = squares.generators
+    index = {g: i for i, g in enumerate(gens)}
+    below = []  # below[k][e]: bitmask of the g with g[k] <= e
+    for k in range(action.nvars):
+        masks = [0] * (4 * action.d + 1)
+        for i, g in enumerate(gens):
+            masks[g[k]] |= 1 << i
+        below.append(list(accumulate(masks, or_)))
+
+    cubics, deficit = [], 0
+    for j in (3, 4):
+        basis = invariant_monomials(action, j)
+        if basis.count != count_invariants(action, j):
+            raise InternalDiscrepancy(f"degree-{j} invariants miscounted")
+        for b in basis.monomials:
+            if not (vertices := reduce(and_, map(getitem, below, b))):
+                raise InternalDiscrepancy(f"no generator divides {b}")
+
+            def neighbours(u):
+                return reduce(and_, map(getitem, below, map(sub, b, gens[u])))
+
+            roots = _component_roots(vertices, neighbours)
+            if j == 4:
+                deficit += len(roots) - 1
+            elif len(roots) > 1:
+                leaders = []
+                for v0 in roots:
+                    adjacent = neighbours(v0)
+                    i2 = (adjacent & -adjacent).bit_length() - 1
+                    rest = tuple(map(sub, map(sub, b, gens[v0]), gens[i2]))
+                    leaders.append((v0, i2, index[rest]))
+                cubics.extend((leaders[0], other) for other in leaders[1:])
 
     return BinomialGeneratorSet(
         action=action,
-        generators=partitions[2].generators,
+        generators=gens,
         quadrics=tuple(quadrics),
         cubics=tuple(cubics),
         degree4_deficit=deficit,

@@ -1,12 +1,13 @@
 import random
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 from math import gcd
 
 import pytest
 
 from gt_toolkit.actions import (CyclicAction, count_invariants, degree,
-                                egz_factor, format_monomial,
-                                invariant_monomials, is_invariant, mu_d)
+                                egz_factor, exponent_vectors,
+                                format_monomial, invariant_monomials,
+                                is_invariant, mu_d)
 
 
 def surface_actions(max_d):
@@ -63,6 +64,27 @@ def test_invariant_monomials_canonical_order():
             monomials = invariant_monomials(action, t).monomials
             assert list(monomials) == sorted(monomials, reverse=True)
             assert len(set(monomials)) == len(monomials)
+
+
+def test_invariant_monomials_match_filtered_exponent_vectors():
+    # second route: the same sequence as filtering every exponent vector
+    cases = [CyclicAction(d, weights)
+             for nvars, max_d in ((2, 10), (3, 6), (4, 4), (5, 2))
+             for d in range(2, max_d + 1)
+             for weights in product(range(d), repeat=nvars)
+             if gcd(*weights, d) == 1]
+    # repeated last weights, and gcd(w_{n-1} - w_n, d) > 1
+    cases += [CyclicAction(8, (1, 3, 7)), CyclicAction(9, (1, 3, 6)),
+              CyclicAction(6, (0, 1, 4, 4)), CyclicAction(6, (5, 1, 2, 4)),
+              CyclicAction(3, (0, 1, 2, 2, 2)),
+              CyclicAction(4, (1, 0, 3, 0, 2))]
+    for action in cases:
+        for t in (1, 2, 3):
+            expected = tuple(
+                v for v in exponent_vectors(action.nvars, t * action.d)
+                if is_invariant(action, v))
+            assert invariant_monomials(action, t).monomials == expected, \
+                (action, t)
 
 
 def test_mu_d_examples():

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -162,6 +163,33 @@ def test_cross_check_failure_exits_with_discrepancy(capsys, monkeypatch):
     status, out, err = run(capsys, "ideal", "5", "0,1,3")
     assert status == 2
     assert out == ""
+    assert err.startswith("internal discrepancy: ")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("t", [3, 4])
+@pytest.mark.parametrize("fault", ["miscount", "isolated"])
+def test_graph_check_failure_exits_with_discrepancy(capsys, monkeypatch,
+                                                    fault, t):
+    # degrees 3 and 4 check the number of invariants against the counted
+    # HF, and that a generator lies below each invariant
+    if fault == "miscount":
+        count = toricideal.count_invariants
+        monkeypatch.setattr(toricideal, "count_invariants",
+                            lambda action, j: count(action, j) + (j == t))
+    else:
+        enumerator = toricideal.invariant_monomials
+
+        def isolated(action, j):
+            basis = enumerator(action, j)
+            if j != t:
+                return basis
+            zero = (0,) * action.nvars
+            return replace(basis, monomials=basis.monomials[:-1] + (zero,))
+
+        monkeypatch.setattr(toricideal, "invariant_monomials", isolated)
+    status, out, err = run(capsys, "ideal", "5", "0,1,3")
+    assert (status, out) == (2, "")
     assert err.startswith("internal discrepancy: ")
     assert len(err.splitlines()) == 1
 

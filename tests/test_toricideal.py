@@ -1,3 +1,4 @@
+from itertools import combinations_with_replacement
 from math import gcd
 
 import pytest
@@ -6,8 +7,9 @@ from gt_toolkit.actions import CyclicAction
 from gt_toolkit.exactalg import integer_rank
 from gt_toolkit.hilbert import surface_profile
 from gt_toolkit.resolution import generator_counts
-from gt_toolkit.toricideal import (_component_leaders, fiber_partition,
-                                   ideal_dimension, minimal_generators)
+from gt_toolkit.toricideal import (BinomialGeneratorSet, _component_roots,
+                                   fiber_partition, ideal_dimension,
+                                   minimal_generators)
 
 
 def surface_actions(max_d):
@@ -45,7 +47,7 @@ FORMULA_EXCEPTIONS = {
 def test_fiber_partition_goldens():
     a312 = CyclicAction(3, (0, 1, 2))
     cubes = fiber_partition(a312, 3)
-    nontrivial = cubes.nontrivial()
+    nontrivial = [(p, ms) for p, ms in cubes.fibers.items() if len(ms) > 1]
     assert len(nontrivial) == 1
     product, multisets = nontrivial[0]
     assert product == (3, 3, 3)
@@ -173,14 +175,85 @@ def test_fiber_components_match_dense_rank():
             result.degree4_deficit, (d, weights)
 
 
-def test_component_leaders_is_iterative():
-    # one fiber whose multisets form a path of shared generators, 20000
-    # long: no recursion, whatever the path length
-    chain = [(i, i + 1) for i in range(20000)]
-    assert _component_leaders(chain[::-1]) == [chain[-1]]
-    assert _component_leaders(chain[::2]) == chain[::2]
-    assert _component_leaders([(0, 0), (1, 2), (0, 3), (2, 4), (3, 5)]) == \
-        [(0, 0), (1, 2)]
+def test_component_walk_is_iterative():
+    # a path of 20000 vertices, far past the recursion limit: the flood
+    # fill walks it in a loop
+    size = 20000
+    vertices = (1 << size) - 1
+
+    def path(u):
+        return ((1 << u + 1) | (1 << u >> 1)) & vertices
+
+    assert _component_roots(vertices, path) == [0]
+
+    def pairs(u):  # the path with every other edge removed
+        return 1 << (u ^ 1)
+
+    assert _component_roots(vertices, pairs) == list(range(0, size, 2))
+    edges = {0: {3}, 1: {2}, 2: {1, 4}, 3: {0, 5}, 4: {2}, 5: {3}}
+    assert _component_roots(0b111111, lambda u: sum(
+        1 << v for v in edges[u])) == [0, 1]
+    assert _component_roots(0, path) == []
+
+
+def _multiset_route(action):
+    """minimal_generators as the earlier route gave it: every degree-3
+    and degree-4 generator multiset through fiber_partition, and the
+    components of each fiber by union-find over shared indices, each
+    led by its lex-least multiset."""
+
+    def leaders(multisets):
+        parent = {idx: idx for ms in multisets for idx in ms}
+
+        def find(x):
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        for ms in multisets:
+            for idx in ms[1:]:
+                parent[find(idx)] = find(ms[0])
+        first = {}
+        for ms in multisets:
+            first.setdefault(find(ms[0]), ms)
+        return list(first.values())
+
+    squares = fiber_partition(action, 2)
+    quadrics = [(ms[0], other)
+                for ms in squares.fibers.values() for other in ms[1:]]
+    cubics = []
+    for ms in fiber_partition(action, 3).fibers.values():
+        lead = leaders(ms)
+        cubics.extend((lead[0], other) for other in lead[1:])
+    deficit = sum(len(leaders(ms)) - 1
+                  for ms in fiber_partition(action, 4).fibers.values())
+    return BinomialGeneratorSet(action, squares.generators, tuple(quadrics),
+                                tuple(cubics), deficit)
+
+
+def action_classes(nvars, max_d):
+    """One action per class under unit scaling, shift and permutation of
+    the weights, repeated weights included."""
+    for d in range(3, max_d + 1):
+        seen = set()
+        for rest in combinations_with_replacement(range(d), nvars - 1):
+            weights = (0,) + rest
+            if gcd(*weights, d) != 1:
+                continue
+            key = weight_class(weights, d)
+            if key not in seen:
+                seen.add(key)
+                yield CyclicAction(d, key)
+
+
+def test_generator_graph_matches_multiset_route():
+    # second route: the multiset fibers the generator graph replaces
+    actions = [*action_classes(3, 12), *action_classes(4, 6),
+               CyclicAction(5, (0, 1, 2, 3, 4))]
+    for action in actions:
+        assert minimal_generators(action).to_dict() == \
+            _multiset_route(action).to_dict(), action
 
 
 # minimal_generators(...).to_dict() as the earlier shifted-row span route
