@@ -71,14 +71,15 @@ def _load_json(path: str) -> dict:
             return json.load(fh)
     except OSError as exc:
         raise _UsageError(f"cannot read {path}: {exc}")
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # the decoder recurses once per nesting level
         raise _UsageError(f"invalid JSON in {path}: {exc}")
 
 
 def _action_from_args(args) -> CyclicAction:
     # exactly one input source: inline d + weights, or a JSON file
     inline = args.d is not None or args.weights is not None
-    if getattr(args, "file", None):
+    if getattr(args, "file", None) is not None:
         if inline:
             raise _UsageError("give either d and weights or --file, not both")
         return CyclicAction.from_dict(_load_json(args.file))
@@ -322,7 +323,8 @@ def _semigroup_report(H: AffineSemigroup, bound: int, query=None):
 
 def _cmd_semigroup(args):
     H = AffineSemigroup.from_dict(_load_json(args.file))
-    query = _parse_ints(args.member, "--member") if args.member else None
+    query = (_parse_ints(args.member, "--member")
+             if args.member is not None else None)
     return _semigroup_report(H, args.bound, query)
 
 
@@ -377,7 +379,7 @@ def main(argv=None) -> int:
         text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     else:
         text = "\n".join(lines) + "\n"
-    if args.output:
+    if args.output is not None:
         try:
             with open(args.output, "w", encoding="utf-8") as fh:
                 fh.write(text)

@@ -1,9 +1,10 @@
 """Exact integer primitives shared by every other module.
 
 Everything here is arbitrary-precision integer arithmetic; no floating
-point is used anywhere in the package.  The rank over the rationals
-comes from one sparse fraction-free row elimination over Z that keeps
-every pivot row primitive, so it is exact without a certificate.
+point is used anywhere in the package.  The rank over the rationals of
+a matrix given as sparse {col: value} rows comes from one fraction-free
+row elimination over Z that keeps every pivot row primitive, so it is
+exact without a certificate.
 InternalDiscrepancy, raised when two independent routes to one number
 disagree, also lives here.
 """
@@ -11,7 +12,6 @@ disagree, also lives here.
 from __future__ import annotations
 
 import math
-from itertools import compress
 
 
 class InternalDiscrepancy(AssertionError):
@@ -43,26 +43,24 @@ def _divide_by_content(row: dict[int, int], sign: int = 1) -> None:
             row[k] //= g
 
 
-def integer_rank(matrix) -> int:
-    """Exact rank over the rationals of a rectangular nested sequence of
-    ints.
+def integer_rank(rows) -> int:
+    """Exact rank over the rationals of a matrix given as an iterable of
+    sparse rows: {col: value} dicts of ints, absent columns being zero.
 
-    Rows become sparse {col: value} dicts and are reduced one at a time
-    at their least column c.  If c has no pivot row yet, the row becomes
-    its pivot, divided by its content with a positive leading entry.
-    Otherwise, with g = gcd(pivot[c], row[c]), the row is scaled by
-    pivot[c] / g, loses row[c] / g times the pivot and, if it was scaled,
-    is divided by its content again.  The rank is the number of pivots.
-    Entries stay small: a pivot row is the primitive vector on the line
-    of its input rows' span that vanishes at the earlier pivot columns,
-    so its entries are minors of the input divided by their gcd.
+    Each row is copied without its zero entries, so the caller's dicts
+    stay untouched, and reduced at its least column c.  If c has no pivot
+    row yet, the row becomes its pivot, divided by its content with a
+    positive leading entry.  Otherwise, with g = gcd(pivot[c], row[c]),
+    the row is scaled by pivot[c] / g, loses row[c] / g times the pivot
+    and, if it was scaled, is divided by its content again.  The rank is
+    the number of pivots.  Entries stay small: a pivot row is the
+    primitive vector on the line of its input rows' span that vanishes
+    at the earlier pivot columns, so its entries are minors of the input
+    divided by their gcd.
     """
-    rows = [list(r) for r in matrix]
-    if any(len(r) != len(rows[0]) for r in rows):
-        raise ValueError("rows must all have the same length")
     pivots: dict[int, dict[int, int]] = {}
     for r in rows:
-        row = dict(zip(compress(range(len(r)), r), filter(None, r)))
+        row = {k: v for k, v in r.items() if v}
         while row:
             c = min(row)
             pivot = pivots.get(c)

@@ -66,20 +66,19 @@ def wlp_fails_in_degree(action: CyclicAction, j: int) -> WlpCheck:
     """Exact maximal-rank test for x(0)+...+x(n) from degree j to j+1.
 
     Builds the multiplication matrix on the monomial bases of the
-    quotient ring and computes its rank over the rationals.  WLP fails
-    in degree j when the rank is below min(dim source, dim target).
+    quotient ring as sparse rows, one {source index: 1} dict per target
+    monomial, and computes its rank over the rationals.  WLP fails in
+    degree j when the rank is below min(dim source, dim target).
     """
     if j < 0:
         raise ValueError("degree must be nonnegative")
     source = quotient_basis(action, j)
     target = quotient_basis(action, j + 1)
     index = {m: i for i, m in enumerate(target)}
-    cols = len(source)
-    rows = [[0] * cols for _ in target]
+    rows = [{} for _ in target]
     for s, m in enumerate(source):
         for i in range(action.nvars):
-            shifted = tuple(m[k] + (1 if k == i else 0) for k in range(len(m)))
-            r = index.get(shifted)
+            r = index.get(m[:i] + (m[i] + 1,) + m[i + 1:])
             if r is not None:
                 rows[r][s] = 1
     rank = integer_rank(rows)

@@ -225,13 +225,20 @@ def test_classify_ranks_once(capsys, monkeypatch):
     real_rank = togliatti.integer_rank
 
     def counting_rank(rows):
-        calls.append(len(rows))
+        calls.append(rows)
         return real_rank(rows)
 
     monkeypatch.setattr(togliatti, "integer_rank", counting_rank)
-    status, out, _ = run(capsys, "classify", "5", "0,1,3")
-    assert status == 0 and "kernel dimension 1" in out
+    status, out, _ = run(capsys, "classify", "5", "0,1,3", "--format", "json")
+    check = json.loads(out)["wlp_check"]
+    assert status == 0 and check["kernel_dimension"] == 1
     assert len(calls) == 1
+    # the WLP matrix arrives as sparse 0/1 rows, at most one entry per
+    # variable and source monomial, never as dense lists
+    rows = calls[0]
+    assert rows and all(type(row) is dict for row in rows)
+    assert all(v == 1 for row in rows for v in row.values())
+    assert sum(map(len, rows)) <= 3 * check["dim_source"]
 
 
 CUBIC_FILE = {"dim": 3, "generators": [[5, 0, 0], [0, 5, 0], [0, 0, 5],
@@ -245,7 +252,8 @@ CUBIC_FILE = {"dim": 3, "generators": [[5, 0, 0], [0, 5, 0], [0, 0, 5],
     "member-fullwidth-digit", "a-underscore", "b-arabic-digit",
     "hilbert-t-underscore", "invariants-t-arabic-digit", "t-underscore",
     "k-devanagari-digit", "tprime-underscore", "bound-arabic-digit",
-    "semigroup-bound-underscore",
+    "semigroup-bound-underscore", "semigroup-deep-json", "ideal-deep-json",
+    "member-empty", "output-empty", "file-empty-with-inline",
 ])
 def test_bad_input_never_ends_in_traceback(tmp_path, capsys, case):
     # every failure is one "error:" line on stderr, exit 1, no report
@@ -256,6 +264,8 @@ def test_bad_input_never_ends_in_traceback(tmp_path, capsys, case):
     action = tmp_path / "action.json"
     action.write_text(json.dumps({"d": 5, "weights": [0, True, 3]}))
     missing_dir = tmp_path / "absent" / "report.txt"
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
     argv = {
         "missing-file": ["semigroup", str(tmp_path / "absent.json")],
         "directory-input": ["classify", "--file", str(tmp_path)],
@@ -284,6 +294,13 @@ def test_bad_input_never_ends_in_traceback(tmp_path, capsys, case):
         "bound-arabic-digit": ["h3t", "2", "--bound", "\u0663"],
         "semigroup-bound-underscore": ["semigroup", str(semigroup),
                                        "--bound", "1_0"],
+        # the JSON decoder recurses once per nesting level
+        "semigroup-deep-json": ["semigroup", str(deep)],
+        "ideal-deep-json": ["ideal", "--file", str(deep)],
+        # an empty option value is a value, not an absent option
+        "member-empty": ["semigroup", str(semigroup), "--member", ""],
+        "output-empty": ["classify", "5", "0,1,3", "--output", ""],
+        "file-empty-with-inline": ["invariants", "3", "0,1,2", "--file", ""],
     }[case]
     status, out, err = run(capsys, *argv)
     assert (status, out) == (1, "")
@@ -291,8 +308,12 @@ def test_bad_input_never_ends_in_traceback(tmp_path, capsys, case):
     assert len(err.splitlines()) == 1
     if case.startswith("output-"):
         assert err.startswith(f"error: cannot write {argv[-1]}: ")
-    if case == "member-not-integer":
+    if case in ("member-not-integer", "member-empty"):
         assert "--member" in err and "weights" not in err
+    if case.endswith("-deep-json"):
+        assert err.startswith(f"error: invalid JSON in {deep}: ")
+    if case == "file-empty-with-inline":
+        assert err == "error: give either d and weights or --file, not both\n"
 
 
 def test_signed_ascii_integers_still_parse(capsys):

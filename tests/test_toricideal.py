@@ -124,25 +124,19 @@ def test_counts_against_formulas_with_known_exceptions():
 
 
 def _incidence_rank(rows, gens):
-    """Rank of the dense incidence matrix of rows e_u - e_v, by the exact
+    """Rank of the incidence matrix of rows e_u - e_v, by the exact
     sparse elimination over Z of exactalg.  Both ends of a row have the
     same product monomial, so the matrix is block diagonal by product and
     its rank is the sum of the block ranks."""
     blocks = {}
     for u, v in rows:
+        assert u != v  # both ends get their own column
         product = tuple(map(sum, zip(*(gens[i] for i in u))))
         blocks.setdefault(product, []).append((u, v))
     total = 0
     for block in blocks.values():
-        cols = {m: c for c, m in
-                enumerate(sorted({m for row in block for m in row}))}
-        dense = []
-        for u, v in block:
-            row = [0] * len(cols)
-            row[cols[u]] += 1
-            row[cols[v]] -= 1
-            dense.append(row)
-        total += integer_rank(dense)
+        cols = {m: c for c, m in enumerate({m for row in block for m in row})}
+        total += integer_rank({cols[u]: 1, cols[v]: -1} for u, v in block)
     return total
 
 
