@@ -6,6 +6,9 @@ by d.  This module enumerates and counts the invariant monomials of
 degree t*d and factors any such monomial into t invariant factors of
 degree d (a zero-sum subsequence argument guarantees this is always
 possible).
+
+One iterative walker, _compositions, feeds exponent_vectors,
+invariant_monomials and count_invariants.
 """
 
 from __future__ import annotations
@@ -110,95 +113,83 @@ class InvariantBasis:
         return self.t * self.action.d
 
 
+def _compositions(weights: tuple[int, ...], total: int):
+    """Yield (prefix, rest, wsum) for each nonnegative prefix of
+    len(weights) coordinates summing to at most total, lex descending:
+    rest = total - sum(prefix), wsum = weights . prefix.  A stack holds
+    the leading coordinates and a loop the last, so nothing recurses."""
+    if not weights:
+        yield (), total, 0
+        return
+    *lead, last = weights
+    stack = [((), total, 0)]
+    while stack:
+        prefix, rest, wsum = stack.pop()
+        if len(prefix) == len(lead):
+            for y in range(rest, -1, -1):
+                yield prefix + (y,), rest - y, wsum + last * y
+            continue
+        w = lead[len(prefix)]
+        # pushed ascending, so the largest coordinate is popped first
+        stack.extend((prefix + (y,), rest - y, wsum + w * y)
+                     for y in range(rest + 1))
+
+
 def exponent_vectors(nvars: int, total: int) -> list[ExponentVector]:
     """Nonnegative vectors of length nvars and coordinate sum total, lex
     descending."""
-    out = []
-    vec = [0] * nvars
-
-    def rec(idx: int, remaining: int):
-        if idx == nvars - 1:
-            vec[idx] = remaining
-            out.append(tuple(vec))
-            return
-        for y in range(remaining, -1, -1):
-            vec[idx] = y
-            rec(idx + 1, remaining - y)
-
-    rec(0, total)
-    return out
+    return [prefix + (rest,)
+            for prefix, rest, _ in _compositions((0,) * (nvars - 1), total)]
 
 
 def invariant_monomials(action: CyclicAction, t: int) -> InvariantBasis:
     """Enumerate the degree t*d invariant monomials, lex descending; the
-    last two coordinates solve a congruence, stepped by d/gcd."""
+    walker fixes all but the last two coordinates, which solve a
+    congruence, stepped by d/gcd."""
     if t < 1:
         raise ValueError("t must be at least 1")
     d = action.d
     w = action.weights
     n = action.n
+    # y + y_n = rest and (w_{n-1} - w_n)*y = -wsum - w_n*rest (mod d)
+    step, first = _congruence(w[n - 1] - w[n], d)
     out = []
-    vec = [0] * (n + 1)
-
-    def rec(idx: int, remaining: int, wsum: int):
-        if idx == n - 1:
-            # y + y_n = remaining and (w_{n-1} - w_n)*y = -wsum - w_n*remaining
-            solution = _congruence(w[idx] - w[n], -wsum - w[n] * remaining, d)
-            if solution is None:
-                return
-            y0, step = solution
-            # the largest y <= remaining in the class of y0, down to y0
-            for y in range(remaining - (remaining - y0) % step, -1, -step):
-                vec[idx] = y
-                vec[n] = remaining - y
-                out.append(tuple(vec))
-            return
-        for y in range(remaining, -1, -1):
-            vec[idx] = y
-            rec(idx + 1, remaining - y, wsum + w[idx] * y)
-
-    rec(0, t * d, 0)
+    for prefix, rest, wsum in _compositions(w[:n - 1], t * d):
+        y0 = first.get((-wsum - w[n] * rest) % d)
+        if y0 is None:
+            continue
+        # the largest y <= rest in the class of y0, down to y0
+        for y in range(rest - (rest - y0) % step, -1, -step):
+            out.append(prefix + (y, rest - y))
     return InvariantBasis(action, t, tuple(out))
 
 
-def _congruence(a: int, c: int, mod: int) -> tuple[int, int] | None:
-    """(y0, step) such that a*y = c (mod mod) exactly when y = y0
-    (mod step), with 0 <= y0 < step; None when there is no solution."""
-    a %= mod
-    c %= mod
-    g = math.gcd(a, mod)
-    if c % g:
-        return None
-    step = mod // g
-    return (c // g) * pow(a // g, -1, step) % step, step
+def _congruence(a: int, mod: int) -> tuple[int, dict[int, int]]:
+    """(step, first): a*y = c (mod mod) exactly when y = first[c]
+    (mod step), with 0 <= first[c] < step; no solution when c is not a
+    key.  Built once per call of its caller, not once per prefix."""
+    step = mod // math.gcd(a, mod)
+    return step, {a * y % mod: y for y in range(step)}
 
 
 def count_invariants(action: CyclicAction, t: int) -> int:
     """Number of degree t*d invariant monomials, without enumerating them.
 
-    All variables beyond the first two are iterated directly; the
-    remaining pair is handled by a closed-form congruence count.
+    The walker fixes the coordinates beyond the first two; the pair
+    (0, 1) is counted in closed form.
     """
     if t < 1:
         raise ValueError("t must be at least 1")
     d = action.d
     w = action.weights
-    n = action.n
-    total = t * d
-
-    def rec(idx: int, remaining: int, wsum: int) -> int:
-        if idx == 1:
-            # y0 + y1 = remaining and w0*y0 + w1*y1 = -wsum (mod d)
-            solution = _congruence(w[1] - w[0], -wsum - w[0] * remaining, d)
-            if solution is None or solution[0] > remaining:
-                return 0
-            return (remaining - solution[0]) // solution[1] + 1
-        acc = 0
-        for y in range(remaining + 1):
-            acc += rec(idx - 1, remaining - y, wsum + w[idx] * y)
-        return acc
-
-    return rec(n, total, 0)
+    # y0 + y1 = rest and (w1 - w0)*y1 = -wsum - w0*rest (mod d)
+    step, first = _congruence(w[1] - w[0], d)
+    count = 0
+    for _, rest, wsum in _compositions(w[2:], t * d):
+        y1 = first.get((-wsum - w[0] * rest) % d)
+        if y1 is not None and y1 <= rest:
+            count += (rest - y1) // step + 1
+    return count
 
 
 def mu_d(action: CyclicAction) -> int:

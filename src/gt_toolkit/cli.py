@@ -8,7 +8,8 @@ formats.
 
 One argument parser serves every main() call in a process: it is built
 on the first call, not at import.  Integer arguments and the
-comma-separated vectors accept only ASCII decimals, [+-]?[0-9]+.
+comma-separated vectors accept only ASCII decimals, [+-]?[0-9]+.  JSON
+input files may nest at most JSON_MAX_DEPTH (64) levels.
 """
 
 from __future__ import annotations
@@ -32,6 +33,8 @@ from .toricideal import minimal_generators
 from .verify import run_reference_checks
 
 OK, USAGE_ERROR, DISCREPANCY, CHECK_FAILED = 0, 1, 2, 3
+# action files nest 2 levels and semigroup files 3
+JSON_MAX_DEPTH = 64
 
 
 class _UsageError(Exception):
@@ -65,14 +68,41 @@ def _parse_ints(text: str, what: str) -> tuple[int, ...]:
         raise _UsageError(f"{what} must be comma-separated integers: {exc}")
 
 
+def _json_depth(text: str) -> int:
+    """Deepest nesting of [ and { in text, outside strings."""
+    depth = deepest = 0
+    in_string = escaped = False
+    for ch in text:
+        if in_string:
+            if escaped:
+                escaped = False
+            elif ch == "\\":
+                escaped = True
+            elif ch == '"':
+                in_string = False
+        elif ch == '"':
+            in_string = True
+        elif ch in "[{":
+            depth += 1
+            deepest = max(deepest, depth)
+        elif ch in "]}":
+            depth -= 1
+    return deepest
+
+
 def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            text = fh.read()
     except OSError as exc:
         raise _UsageError(f"cannot read {path}: {exc}")
-    except (json.JSONDecodeError, RecursionError) as exc:
-        # the decoder recurses once per nesting level
+    # the decoder recurses once per level, so the depth is checked first
+    if _json_depth(text) > JSON_MAX_DEPTH:
+        raise _UsageError(f"JSON in {path} nests deeper than "
+                          f"{JSON_MAX_DEPTH} levels")
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
         raise _UsageError(f"invalid JSON in {path}: {exc}")
 
 

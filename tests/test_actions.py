@@ -1,9 +1,14 @@
+import ast
+import inspect
 import random
+import sys
 from itertools import combinations_with_replacement, product
 from math import gcd
+from pathlib import Path
 
 import pytest
 
+import gt_toolkit
 from gt_toolkit.actions import (CyclicAction, count_invariants, degree,
                                 egz_factor, exponent_vectors,
                                 format_monomial, invariant_monomials,
@@ -45,6 +50,62 @@ def test_is_invariant_examples():
         is_invariant(action, (1, 2))
 
 
+def _vectors(nvars, total):
+    # every multiset of total variable indices, as exponent vectors, lex
+    # descending; independent of the composition walker in actions
+    vectors = []
+    for cut in combinations_with_replacement(range(nvars), total):
+        vec = [0] * nvars
+        for i in cut:
+            vec[i] += 1
+        vectors.append(tuple(vec))
+    return sorted(vectors, reverse=True)
+
+
+def test_exponent_vectors_match_multisets():
+    for nvars in range(1, 6):
+        for total in range(7):
+            assert exponent_vectors(nvars, total) == _vectors(nvars, total), \
+                (nvars, total)
+
+
+def test_walker_needs_no_recursion_depth():
+    # 60 variables: a walk with one frame per coordinate would need 60
+    action = CyclicAction(2, (1,) * 60)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 40)
+    try:
+        vectors = exponent_vectors(60, 2)
+        basis = invariant_monomials(action, 1)
+        count = count_invariants(action, 1)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert basis.monomials == tuple(vectors)
+    assert count == basis.count == 1830
+
+
+def test_no_function_in_the_package_calls_itself():
+    paths = sorted(Path(gt_toolkit.__file__).parent.glob("*.py"))
+    assert len(paths) > 1
+    found = []
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(fn):
+                if not isinstance(node, ast.Call):
+                    continue
+                f = node.func
+                by_name = isinstance(f, ast.Name) and f.id == fn.name
+                by_method = (isinstance(f, ast.Attribute) and f.attr == fn.name
+                             and isinstance(f.value, ast.Name)
+                             and f.value.id in ("self", "cls"))
+                if by_name or by_method:
+                    found.append(f"{path.name}:{node.lineno} {fn.name}")
+    assert found == []
+
+
 def test_invariant_monomials_goldens():
     got = invariant_monomials(CyclicAction(5, (0, 1, 3)), 1)
     assert set(got.monomials) == {(5, 0, 0), (0, 5, 0), (0, 0, 5),
@@ -81,7 +142,7 @@ def test_invariant_monomials_match_filtered_exponent_vectors():
     for action in cases:
         for t in (1, 2, 3):
             expected = tuple(
-                v for v in exponent_vectors(action.nvars, t * action.d)
+                v for v in _vectors(action.nvars, t * action.d)
                 if is_invariant(action, v))
             assert invariant_monomials(action, t).monomials == expected, \
                 (action, t)
@@ -94,15 +155,8 @@ def test_mu_d_examples():
 
 
 def _brute_force_count(action, t):
-    total = t * action.d
-    count = 0
-    for cut in combinations_with_replacement(range(action.nvars), total):
-        vec = [0] * action.nvars
-        for i in cut:
-            vec[i] += 1
-        if is_invariant(action, tuple(vec)):
-            count += 1
-    return count
+    return sum(is_invariant(action, v)
+               for v in _vectors(action.nvars, t * action.d))
 
 
 def test_count_matches_enumeration_surfaces():
@@ -122,6 +176,10 @@ def test_count_matches_brute_force_general_n():
             cases.append(CyclicAction(d, weights))
         except ValueError:
             continue
+    # two and five variables, w0 = w1, and gcd(w1 - w0, d) > 1
+    cases += [CyclicAction(7, (2, 5)), CyclicAction(8, (1, 3)),
+              CyclicAction(4, (0, 1, 2, 3, 1)), CyclicAction(3, (2, 0, 1, 1, 2)),
+              CyclicAction(6, (1, 1, 2, 5)), CyclicAction(9, (4, 4, 4, 1))]
     for action in cases:
         for t in (1, 2):
             if t * action.d > 16:

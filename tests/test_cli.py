@@ -241,6 +241,15 @@ def test_classify_ranks_once(capsys, monkeypatch):
     assert sum(map(len, rows)) <= 3 * check["dim_source"]
 
 
+def _nested_action(depth):
+    # the action (5; 0,1,3) with an extra value that brings the whole
+    # file to the given nesting depth; brackets inside strings, escaped
+    # quotes included, do not count
+    extra = "[" * (depth - 1) + "]" * (depth - 1)
+    return ('{"d": 5, "weights": [0, 1, 3], "note": "\\"[[{{\\\\", '
+            '"extra": ' + extra + "}")
+
+
 CUBIC_FILE = {"dim": 3, "generators": [[5, 0, 0], [0, 5, 0], [0, 0, 5],
                                        [3, 1, 1], [2, 2, 1], [1, 3, 1]]}
 
@@ -253,7 +262,8 @@ CUBIC_FILE = {"dim": 3, "generators": [[5, 0, 0], [0, 5, 0], [0, 0, 5],
     "hilbert-t-underscore", "invariants-t-arabic-digit", "t-underscore",
     "k-devanagari-digit", "tprime-underscore", "bound-arabic-digit",
     "semigroup-bound-underscore", "semigroup-deep-json", "ideal-deep-json",
-    "member-empty", "output-empty", "file-empty-with-inline",
+    "action-over-depth-limit", "member-empty", "output-empty",
+    "file-empty-with-inline",
 ])
 def test_bad_input_never_ends_in_traceback(tmp_path, capsys, case):
     # every failure is one "error:" line on stderr, exit 1, no report
@@ -266,6 +276,8 @@ def test_bad_input_never_ends_in_traceback(tmp_path, capsys, case):
     missing_dir = tmp_path / "absent" / "report.txt"
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 100_000)
+    nested = tmp_path / "nested.json"
+    nested.write_text(_nested_action(cli.JSON_MAX_DEPTH + 1))
     argv = {
         "missing-file": ["semigroup", str(tmp_path / "absent.json")],
         "directory-input": ["classify", "--file", str(tmp_path)],
@@ -297,6 +309,8 @@ def test_bad_input_never_ends_in_traceback(tmp_path, capsys, case):
         # the JSON decoder recurses once per nesting level
         "semigroup-deep-json": ["semigroup", str(deep)],
         "ideal-deep-json": ["ideal", "--file", str(deep)],
+        # well-formed, and one level deeper than any input may nest
+        "action-over-depth-limit": ["classify", "--file", str(nested)],
         # an empty option value is a value, not an absent option
         "member-empty": ["semigroup", str(semigroup), "--member", ""],
         "output-empty": ["classify", "5", "0,1,3", "--output", ""],
@@ -311,7 +325,15 @@ def test_bad_input_never_ends_in_traceback(tmp_path, capsys, case):
     if case in ("member-not-integer", "member-empty"):
         assert "--member" in err and "weights" not in err
     if case.endswith("-deep-json"):
-        assert err.startswith(f"error: invalid JSON in {deep}: ")
+        assert err == (f"error: JSON in {deep} nests deeper than "
+                       f"{cli.JSON_MAX_DEPTH} levels\n")
+    if case == "action-over-depth-limit":
+        assert err == (f"error: JSON in {nested} nests deeper than "
+                       f"{cli.JSON_MAX_DEPTH} levels\n")
+        # at the limit the same action parses
+        nested.write_text(_nested_action(cli.JSON_MAX_DEPTH))
+        assert run(capsys, "classify", "--file", str(nested)) == \
+            run(capsys, "classify", "5", "0,1,3")
     if case == "file-empty-with-inline":
         assert err == "error: give either d and weights or --file, not both\n"
 
