@@ -137,9 +137,13 @@ def _compositions(weights: tuple[int, ...], total: int):
 
 def exponent_vectors(nvars: int, total: int) -> list[ExponentVector]:
     """Nonnegative vectors of length nvars and coordinate sum total, lex
-    descending."""
-    return [prefix + (rest,)
-            for prefix, rest, _ in _compositions((0,) * (nvars - 1), total)]
+    descending; the walker fixes all but the last two coordinates, so
+    each vector is built once."""
+    if nvars == 1:
+        return [(total,)]
+    return [prefix + (y, rest - y)
+            for prefix, rest, _ in _compositions((0,) * (nvars - 2), total)
+            for y in range(rest, -1, -1)]
 
 
 def invariant_monomials(action: CyclicAction, t: int) -> InvariantBasis:

@@ -1,18 +1,18 @@
 """Togliatti-system classification via the generator bound and WLP failure.
 
-The ideal generated by the degree-d invariants is a monomial Togliatti
-system (hence a GT-system) when its generator count stays within
-binomial(d+n-1, n-1) and multiplication by x0+...+xn fails to have
-maximal rank from degree d-1 to degree d.  Both checks are exact.
+The ideal of the degree-d invariants is a monomial Togliatti system
+(hence a GT-system) when it has at most binomial(d+n-1, n-1) generators
+and WLP fails from degree d-1 to d, that is, the generators restricted
+to x0+...+xn = 0 are dependent (wlp_fails_in_degree cites the proofs).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import factorial, prod
 from operator import add
 
-from .actions import (CyclicAction, ExponentVector, exponent_vectors,
-                      invariant_monomials, mu_d)
+from .actions import CyclicAction, exponent_vectors, invariant_monomials, mu_d
 from .exactalg import binomial, integer_rank
 
 
@@ -23,24 +23,6 @@ def generator_bound(action: CyclicAction) -> int:
 
 def togliatti_bound_ok(action: CyclicAction) -> bool:
     return mu_d(action) <= generator_bound(action)
-
-
-def quotient_basis(action: CyclicAction, j: int) -> list[ExponentVector]:
-    """Monomials of degree j outside the invariant ideal, lex descending.
-
-    The ideal is generated in degree d, so below degree d the quotient
-    basis is all of R_j; from degree d on, its degree-j monomials are the
-    generators times the monomials of degree j - d.
-    """
-    if j < 0:
-        raise ValueError("degree must be nonnegative")
-    monos = exponent_vectors(action.nvars, j)
-    if j < action.d:
-        return monos
-    ideal = {tuple(map(add, g, e))
-             for g in invariant_monomials(action, 1).monomials
-             for e in exponent_vectors(action.nvars, j - action.d)}
-    return [m for m in monos if m not in ideal]
 
 
 @dataclass(frozen=True)
@@ -63,30 +45,44 @@ class WlpCheck:
 
 
 def wlp_fails_in_degree(action: CyclicAction, j: int) -> WlpCheck:
-    """Exact maximal-rank test for x(0)+...+x(n) from degree j to j+1.
+    """Exact maximal-rank test for L = x0+...+xn from degree j to j+1.
 
-    Builds the multiplication matrix on the monomial bases of the
-    quotient ring as sparse rows, one {source index: 1} dict per target
-    monomial, and computes its rank over the rationals.  WLP fails in
-    degree j when the rank is below min(dim source, dim target).
+    L is a nonzerodivisor on R = k[x0..xn], so on A = R/I the rank of L
+    from A_j to A_{j+1} is dim A_{j+1} - dim R'_{j+1} + rank I'_{j+1},
+    where R' = R/(L) = k[x1..xn] and I' is I under x0 -> -(x1+...+xn),
+    ranked as one sparse row per monomial of I_{j+1}.  So at j = d-1
+    injectivity fails when the restricted generators are dependent
+    (Mezzetti-Miro-Roig-Ottaviani, Canad. J. Math. 2013); for monomial
+    ideals L is as good as a general linear form (Migliore-Miro-Roig-
+    Nagel, Trans. AMS 2011).
     """
     if j < 0:
         raise ValueError("degree must be nonnegative")
-    source = quotient_basis(action, j)
-    target = quotient_basis(action, j + 1)
-    index = {m: i for i, m in enumerate(target)}
-    rows = [{} for _ in target]
-    for s, m in enumerate(source):
-        for i in range(action.nvars):
-            r = index.get(m[:i] + (m[i] + 1,) + m[i + 1:])
-            if r is not None:
-                rows[r][s] = 1
-    rank = integer_rank(rows)
-    fails = rank < min(len(source), len(target))
-    test = "injectivity" if len(source) <= len(target) else "surjectivity"
-    return WlpCheck(j=j, dim_source=len(source), dim_target=len(target),
-                    rank=rank, kernel_dimension=len(source) - rank,
-                    test=test, fails=fails)
+    n = action.n
+    # I_j and I_{j+1}: I_t is the generators times R_{t-d}, empty below d
+    gens = invariant_monomials(action, 1).monomials
+    lower, ideal = ({tuple(map(add, g, e))
+                     for e in exponent_vectors(n + 1, t - action.d)
+                     for g in gens} for t in (j, j + 1))
+    # x0-free monomials restrict to unit rows, whose columns the other rows
+    # drop; x0^a0*m to (-1)^a0*(x1+...+xn)^a0*m, by ascending (sparser) a0
+    units = {m[1:] for m in ideal if not m[0]}
+    rows = [{u: 1} for u in units]
+    powers = {}
+    for a0, *rest in sorted(m for m in ideal if m[0]):
+        if a0 not in powers:
+            top = (-1) ** a0 * factorial(a0)
+            powers[a0] = [(k, top // prod(map(factorial, k)))
+                          for k in exponent_vectors(n, a0)]
+        rows.append({key: c for k, c in powers[a0]
+                     if (key := tuple(map(add, k, rest))) not in units})
+    dim_source = binomial(n + j, n) - len(lower)
+    dim_target = binomial(n + j + 1, n) - len(ideal)
+    rank = dim_target - binomial(n + j, n - 1) + integer_rank(rows)
+    test = "injectivity" if dim_source <= dim_target else "surjectivity"
+    return WlpCheck(j=j, dim_source=dim_source, dim_target=dim_target,
+                    rank=rank, kernel_dimension=dim_source - rank, test=test,
+                    fails=rank < min(dim_source, dim_target))
 
 
 @dataclass(frozen=True)

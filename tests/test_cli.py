@@ -3,11 +3,13 @@ import os
 import subprocess
 import sys
 from dataclasses import replace
+from math import comb
 from pathlib import Path
 
 import pytest
 
 from gt_toolkit import cli, togliatti, toricideal
+from gt_toolkit.actions import CyclicAction, mu_d
 
 
 def run(capsys, *argv):
@@ -233,12 +235,15 @@ def test_classify_ranks_once(capsys, monkeypatch):
     check = json.loads(out)["wlp_check"]
     assert status == 0 and check["kernel_dimension"] == 1
     assert len(calls) == 1
-    # the WLP matrix arrives as sparse 0/1 rows, at most one entry per
-    # variable and source monomial, never as dense lists
+    # the rank is taken of the mu_d generators restricted to x0+x1+x2 = 0:
+    # sparse rows keyed by the exponents of x1, x2 in degree d, at most
+    # one entry per degree-d monomial of k[x1, x2], never dense lists
     rows = calls[0]
     assert rows and all(type(row) is dict for row in rows)
-    assert all(v == 1 for row in rows for v in row.values())
-    assert sum(map(len, rows)) <= 3 * check["dim_source"]
+    assert len(rows) == mu_d(CyclicAction(5, (0, 1, 3)))
+    assert all(len(key) == 2 and sum(key) == 5
+               for row in rows for key in row)
+    assert all(len(row) <= comb(5 + 1, 1) for row in rows)
 
 
 def _nested_action(depth):

@@ -49,7 +49,7 @@ def _sparse(rows):
 
 
 def _dense(rows, cols):
-    return [[row.get(c, 0) for c in range(cols)] for row in rows]
+    return [[row.get(c, 0) for c in cols] for row in rows]
 
 
 def test_integer_rank_examples():
@@ -78,7 +78,7 @@ def test_integer_rank_leaves_rows_untouched():
         m = [{c: rng.randrange(-3, 4) for c in rng.sample(range(12), 4)}
              for _ in range(rng.randrange(2, 8))]
         before = [dict(row) for row in m]
-        assert integer_rank(m) == _fraction_rank(_dense(m, 12))
+        assert integer_rank(m) == _fraction_rank(_dense(m, range(12)))
         assert m == before
 
 
@@ -148,7 +148,7 @@ def test_integer_rank_wide_and_tall():
 
 def test_integer_rank_matches_fraction_oracle_on_wlp_matrices(monkeypatch):
     from gt_toolkit import togliatti
-    from gt_toolkit.actions import CyclicAction
+    from gt_toolkit.actions import CyclicAction, mu_d
 
     captured = []
 
@@ -157,8 +157,11 @@ def test_integer_rank_matches_fraction_oracle_on_wlp_matrices(monkeypatch):
         return integer_rank(rows)
 
     def check(action):
-        result = togliatti.wlp_fails_in_degree(action, action.d - 1)
-        captured[-1] = _dense(captured[-1], result.dim_source)
+        togliatti.wlp_fails_in_degree(action, action.d - 1)
+        # one row per generator, keyed by exponents of x1..xn
+        rows = captured[-1]
+        assert len(rows) == mu_d(action), action
+        captured[-1] = _dense(rows, sorted(set().union(*rows)))
 
     monkeypatch.setattr(togliatti, "integer_rank", capture)
     classes = set()
@@ -180,7 +183,8 @@ def test_integer_rank_matches_fraction_oracle_on_wlp_matrices(monkeypatch):
         check(CyclicAction(d, weights))
     assert len(captured) == len(classes) == 17
     for rows in captured:
-        assert integer_rank(_sparse(rows)) == _fraction_rank(rows)
+        rank = _fraction_rank(rows)
+        assert integer_rank(_sparse(rows)) == rank > 0
 
 
 def test_exact_int_rejects_non_integers():

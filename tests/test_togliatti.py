@@ -1,10 +1,12 @@
+from itertools import combinations_with_replacement
 from math import comb, gcd
 
 import pytest
 
 from gt_toolkit.actions import (CyclicAction, exponent_vectors,
                                 invariant_monomials, mu_d)
-from gt_toolkit.togliatti import (classify, generator_bound, quotient_basis,
+from gt_toolkit.exactalg import integer_rank
+from gt_toolkit.togliatti import (classify, generator_bound,
                                   togliatti_bound_ok, wlp_fails_in_degree)
 
 
@@ -35,25 +37,65 @@ def test_wlp_goldens():
         wlp_fails_in_degree(CyclicAction(3, (0, 1, 2)), -1)
 
 
-def test_quotient_basis_dimensions():
+def _quotient_basis(action, j):
+    # the degree-j monomials no generator divides, lex descending
+    gens = invariant_monomials(action, 1).monomials
+    return [m for m in exponent_vectors(action.nvars, j)
+            if not any(all(map(int.__le__, g, m)) for g in gens)]
+
+
+def _matrix_route(action, j):
+    # second route: the matrix of multiplication by x0+...+xn on the
+    # quotient's monomial bases, one 0/1 row per target monomial
+    source, target = _quotient_basis(action, j), _quotient_basis(action, j + 1)
+    index = {m: c for c, m in enumerate(source)}
+    rows = [{index[s]: 1 for i in range(len(t)) if t[i]
+             and (s := t[:i] + (t[i] - 1,) + t[i + 1:]) in index}
+            for t in target]
+    rank = integer_rank(rows)
+    return {"j": j, "dim_source": len(source), "dim_target": len(target),
+            "rank": rank, "kernel_dimension": len(source) - rank,
+            "test": ("injectivity" if len(source) <= len(target)
+                     else "surjectivity"),
+            "fails": rank < min(len(source), len(target))}
+
+
+def test_wlp_matches_multiplication_matrix_route():
+    # every action up to adding a constant to all weights (which leaves
+    # the degree-d invariants unchanged) and permuting x1..xn (which
+    # permutes the columns of both routes); repeated weights included
+    cases = 0
+    for nvars, top in [(2, 12), (3, 8), (4, 5), (5, 4)]:
+        for d in range(2, top + 1):
+            for rest in combinations_with_replacement(range(d), nvars - 1):
+                if gcd(*rest, d) != 1:
+                    continue
+                action = CyclicAction(d, (0,) + rest)
+                for j in range(d + 2):
+                    assert (wlp_fails_in_degree(action, j).to_dict()
+                            == _matrix_route(action, j)), (action, j)
+                    cases += 1
+    assert cases == 1901
+
+
+def test_wlp_dimensions():
     # no generators below degree d, so the quotient agrees with R_j there
     for action in [CyclicAction(5, (0, 1, 3)), CyclicAction(4, (0, 1, 2, 3))]:
         d, n = action.d, action.n
-        assert len(quotient_basis(action, d - 1)) == comb(n + d - 1, n)
-        assert len(quotient_basis(action, d)) == comb(n + d, n) - mu_d(action)
+        check = wlp_fails_in_degree(action, d - 1)
+        assert check.dim_source == comb(n + d - 1, n)
+        assert check.dim_target == comb(n + d, n) - mu_d(action)
 
 
-def test_quotient_basis_matches_divisibility_filter():
-    # second route: keep the degree-j monomials no generator divides
+def test_wlp_dimensions_match_divisibility_filter():
+    # the counted dimensions against the monomials no generator divides
     for action in [CyclicAction(5, (0, 1, 3)), CyclicAction(7, (0, 1, 3)),
                    CyclicAction(4, (0, 1, 2, 3)),
                    CyclicAction(5, (0, 1, 2, 3, 4))]:
-        gens = invariant_monomials(action, 1).monomials
         for j in range(action.d, action.d + 3):
-            brute = [m for m in exponent_vectors(action.nvars, j)
-                     if not any(all(g[i] <= m[i] for i in range(len(m)))
-                                for g in gens)]
-            assert quotient_basis(action, j) == brute, (action, j)
+            check = wlp_fails_in_degree(action, j)
+            assert check.dim_source == len(_quotient_basis(action, j))
+            assert check.dim_target == len(_quotient_basis(action, j + 1))
 
 
 def test_classify_surface_families():
