@@ -35,7 +35,6 @@ from .resolution import (
     GeneratorCounts,
     RationalSeries,
     betti_table,
-    first_betti_via_fibers,
     generator_counts,
     series_from_betti,
 )
@@ -46,12 +45,10 @@ from .semigroups import (
     TrungReport,
     UnsupportedSemigroupError,
     is_normal_up_to,
-    lattice_member,
     lemma_two_zero_check,
     make_h3t,
     make_hk,
     member,
-    saturation_member,
     semigroup_of_action,
     trung_cm_check,
 )
@@ -60,7 +57,6 @@ from .togliatti import (
     WlpCheck,
     classify,
     generator_bound,
-    togliatti_bound_ok,
     wlp_fails_in_degree,
 )
 from .toricideal import (

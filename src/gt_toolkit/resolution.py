@@ -2,18 +2,16 @@
 
 The minimal free resolution of a GT-surface has two closed-form shapes,
 split on theta = 3 versus theta >= 4.  Ranks and twists are computed
-from those formulas only; the toric-ideal module supplies an
-independent linear-algebra verification of the generator counts.
+from those formulas only; toricideal.minimal_generators counts the
+generators independently, from the fibers of the toric ideal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .actions import CyclicAction
 from .exactalg import InternalDiscrepancy, binomial
 from .hilbert import SurfaceProfile, hilbert_series
-from .toricideal import fiber_partition, ideal_dimension
 
 
 @dataclass(frozen=True)
@@ -113,25 +111,6 @@ def generator_counts(profile: SurfaceProfile) -> GeneratorCounts:
         raise InternalDiscrepancy(
             f"generator counts disagree with the Betti table for {profile}")
     return counts
-
-
-def first_betti_via_fibers(action: CyclicAction, i: int) -> int:
-    """binomial(mu_d+i, i+1) - HF(i+1), checked against the fiber count.
-
-    The value equals b(1, i) when i is the least degree index with a
-    nonzero first Betti number.  The fiber route counts, for every
-    degree-(i+1)d invariant monomial, the number of ways to write it as
-    a product of i+1 degree-d generators, and sums the excesses.
-    """
-    if i < 1:
-        raise ValueError("i must be at least 1")
-    by_hf = ideal_dimension(action, i + 1)
-    by_fibers = fiber_partition(action, i + 1).relation_count
-    if by_hf != by_fibers:
-        raise InternalDiscrepancy(
-            f"fiber count {by_fibers} disagrees with binomial-minus-HF "
-            f"{by_hf} for {action}, i={i}")
-    return by_hf
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Affine semigroup engine: membership, saturation and CM certification.
+"""Affine semigroup engine: membership, normality and CM certification.
 
 All semigroups here are homogeneous (every generator has the same
 coordinate sum g) and contain the axis multiples g*e_i, so their
@@ -10,10 +10,9 @@ generators, Ap(H) = {h in H | h - g*e_i is not in H for every i}.  Every
 element of H is an Apery element plus nonnegative multiples of the g*e_i,
 and Ap(H) is finite, so w lies in H exactly when some Apery element a
 with a = w (mod g) coordinatewise satisfies a <= w.  Ap(H) is built once
-per semigroup, level by level, and cached; its residue classes also
-answer lattice membership.  Each Apery element is re-summed from its
-generator indices when it is stored.  A query never recurses and
-allocates nothing that outlives it.
+per semigroup, level by level, and cached.  Each Apery element is
+re-summed from its generator indices when it is stored.  A query never
+recurses and allocates nothing that outlives it.
 
 Cohen-Macaulayness is certified through the one-dimensional test set
 
@@ -310,41 +309,12 @@ def _point_test(entries, w, g) -> tuple[bool, int]:
     return False, len(translates)
 
 
-def lattice_member(H: AffineSemigroup, w) -> bool:
-    """Decide membership in the additive group L generated by H.
-
-    L contains every g*e_i, so w lies in L exactly when its residue mod g
-    lies in L mod g.  The residues of H form a submonoid of the finite
-    group (Z/g)^dim, hence a subgroup, and that subgroup is L mod g;
-    every residue of H is the residue of an Apery element.  So w lies in
-    L exactly when its residue is a key of Ap(H).  Raises
-    UnsupportedSemigroupError when H lacks an axis multiple.
-    """
-    w = _vector(H, w)
-    g = H.degree
-    return tuple(c % g for c in w) in _apery(H)[1]
-
-
 def _require_axes(H: AffineSemigroup) -> tuple[int, ...]:
     axes = H.axis_generator_indices()
     if axes is None:
         raise UnsupportedSemigroupError(
             "semigroup must contain a positive multiple of every axis")
     return axes
-
-
-def saturation_member(H: AffineSemigroup, w) -> bool:
-    """Decide w in the saturation of H.
-
-    With axis multiples present the cone of H is the nonnegative
-    orthant, so the saturation is exactly the nonnegative part of the
-    lattice of H.
-    """
-    _require_axes(H)
-    w = _vector(H, w)
-    if any(c < 0 for c in w):
-        return False
-    return lattice_member(H, w)
 
 
 @dataclass(frozen=True)

@@ -21,10 +21,6 @@ def generator_bound(action: CyclicAction) -> int:
     return binomial(action.d + action.n - 1, action.n - 1)
 
 
-def togliatti_bound_ok(action: CyclicAction) -> bool:
-    return mu_d(action) <= generator_bound(action)
-
-
 @dataclass(frozen=True)
 class WlpCheck:
     """Rank data of multiplication by x0+...+xn between two quotient degrees."""

@@ -1,15 +1,16 @@
 """Low-degree graded pieces of the toric ideal of a GT-variety.
 
-Multisets of j generators are grouped by their product monomial; two
-multisets in the same fiber give a binomial in the ideal, and the
-degree-j piece has one dimension per fiber member beyond the first.
-The minimal generators follow the Markov-basis view of Diaconis and
-Sturmfels.  In one fiber, join two multisets A and B when they share a
-generator index v: A - v and B - v then lie in one lower-degree fiber,
-so A - B is v times a lower-degree binomial.  The minimal generators in
-multidegree b number the components of this fiber graph minus one, and
-the generators alone give them: join u and v when g_u + g_v <= b.  That
-is exact, as every invariant of degree t*d is a product of t generators
+Pairs of generators are grouped by their product monomial; two pairs
+in the same fiber give a quadric in the ideal, and the degree-2 piece
+has one dimension per fiber member beyond the first.  The minimal
+generators follow the Markov-basis view of Diaconis and Sturmfels.  In
+the fiber of a degree-j monomial, join two multisets A and B of j
+generators when they share a generator index v: A - v and B - v then
+lie in one lower-degree fiber, so A - B is v times a lower-degree
+binomial.  The minimal generators in multidegree b number the
+components of this fiber graph minus one, and the generators alone give
+them: join u and v when g_u + g_v <= b.  That is exact, as every
+invariant of degree t*d is a product of t generators
 (actions.egz_factor): each g_v <= b and each such pair is in a multiset.
 """
 
@@ -31,10 +32,9 @@ Binomial = tuple[tuple[int, ...], tuple[int, ...]]
 
 @dataclass(frozen=True)
 class FiberPartition:
-    """Degree-j multisets of generators grouped by product monomial."""
+    """Generator pairs grouped by product monomial."""
 
     action: CyclicAction
-    degree: int
     generators: tuple[ExponentVector, ...]
     fibers: dict
 
@@ -43,27 +43,19 @@ class FiberPartition:
         return sum(len(ms) - 1 for ms in self.fibers.values())
 
 
-def fiber_partition(action: CyclicAction, j: int) -> FiberPartition:
-    """Group all degree-j generator multisets by coordinatewise sum.
+def fiber_partition(action: CyclicAction) -> FiberPartition:
+    """Group the generator pairs (i, k), i <= k, by the sum g_i + g_k.
 
-    Multisets grow one index at a time, never below their last, so they
-    come out lex ascending and each product is one addition away from
-    its parent's.  The levels are chained generators: only the fibers
-    are ever held in memory.
+    Pairs come out lex ascending within each fiber, and the fibers are
+    ordered lex descending by product.
     """
-    if j < 1:
-        raise ValueError("degree must be at least 1")
     gens = invariant_monomials(action, 1).monomials
-    level = (((i,), g) for i, g in enumerate(gens))
-    for _ in range(j - 1):
-        level = ((multiset + (i,), tuple(map(add, product, gens[i])))
-                 for multiset, product in level
-                 for i in range(multiset[-1], len(gens)))
     groups: dict = {}
-    for multiset, product in level:
-        groups.setdefault(product, []).append(multiset)
+    for i, g in enumerate(gens):
+        for k in range(i, len(gens)):
+            groups.setdefault(tuple(map(add, g, gens[k])), []).append((i, k))
     ordered = {p: tuple(groups[p]) for p in sorted(groups, reverse=True)}
-    return FiberPartition(action, j, gens, ordered)
+    return FiberPartition(action, gens, ordered)
 
 
 def ideal_dimension(action: CyclicAction, j: int) -> int:
@@ -146,7 +138,7 @@ def minimal_generators(action: CyclicAction) -> BinomialGeneratorSet:
     binomial-minus-HF, degrees 3 and 4 the number of b against the
     counted HF and that each b has a generator below it.
     """
-    squares = fiber_partition(action, 2)
+    squares = fiber_partition(action)
     if squares.relation_count != ideal_dimension(action, 2):
         raise InternalDiscrepancy(
             f"degree-2 fiber differences do not span for {action}")

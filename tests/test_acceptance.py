@@ -20,14 +20,15 @@ from gt_toolkit.actions import (CyclicAction, degree, egz_factor,
                                 invariant_monomials, is_invariant)
 from gt_toolkit.hilbert import (hf_by_counting, hf_closed_form, hf_reduced,
                                 surface_profile)
-from gt_toolkit.resolution import (betti_table, first_betti_via_fibers,
-                                   generator_counts, series_from_betti)
+from gt_toolkit.resolution import (betti_table, generator_counts,
+                                   series_from_betti)
 from gt_toolkit.semigroups import (AffineSemigroup, is_normal_up_to,
                                    lemma_two_zero_check, make_h3t, make_hk,
                                    member, semigroup_of_action,
                                    trung_cm_check)
 from gt_toolkit.togliatti import classify, wlp_fails_in_degree
-from gt_toolkit.toricideal import minimal_generators
+from gt_toolkit.toricideal import (fiber_partition, ideal_dimension,
+                                   minimal_generators)
 from gt_toolkit.verify import (BETTI_TABLES, H3T_GENERATORS,
                                INVARIANT_SETS, NON_ACM_GENERATORS)
 
@@ -98,7 +99,8 @@ def test_criterion_03_published_hf_values():
     threefold = CyclicAction(4, (0, 1, 2, 3))
     if [hf_by_counting(threefold, t) for t in (1, 2)] != [10, 43]:
         failures.append("threefold values")
-    if first_betti_via_fibers(threefold, 1) != 12:
+    if (ideal_dimension(threefold, 2),
+            fiber_partition(threefold).relation_count) != (12, 12):
         failures.append("threefold first Betti number")
     _report(3, "published Hilbert values and the 12-quadric count",
             started, failures)

@@ -106,6 +106,29 @@ def test_no_function_in_the_package_calls_itself():
     assert found == []
 
 
+
+def test_every_module_level_definition_is_used():
+    # a function or class named only by its own def and by __init__ has
+    # no library or CLI caller; main, the CLI entry point, is exempt
+    paths = [path for path in Path(gt_toolkit.__file__).parent.glob("*.py")
+             if path.name != "__init__.py"]
+    defined, named = [], set()
+    for path in sorted(paths):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                defined.append((path.name, node.name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+    assert len(defined) > 50
+    unused = [f"{module}: {name}" for module, name in defined
+              if name not in named and name != "main"]
+    assert unused == []
+
 def test_invariant_monomials_goldens():
     got = invariant_monomials(CyclicAction(5, (0, 1, 3)), 1)
     assert set(got.monomials) == {(5, 0, 0), (0, 5, 0), (0, 0, 5),

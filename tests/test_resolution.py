@@ -4,8 +4,10 @@ import pytest
 
 from gt_toolkit.actions import CyclicAction
 from gt_toolkit.hilbert import hilbert_series, surface_profile
-from gt_toolkit.resolution import (betti_table, first_betti_via_fibers,
-                                   generator_counts, series_from_betti)
+from gt_toolkit.resolution import (betti_table, generator_counts,
+                                   series_from_betti)
+from gt_toolkit.toricideal import (fiber_partition, ideal_dimension,
+                                   minimal_generators)
 
 GOLDEN_TABLES = {
     (1, 2, 4): {(1, 1): 2, (2, 2): 1},
@@ -67,12 +69,16 @@ def test_generator_counts_match_first_column():
 
 
 def test_first_betti_via_fibers_goldens():
+    # binomial-minus-HF and the degree-2 fibers for b(1,1); the cubic
+    # surface's b(1,2) = 1 from the minimal generators
     a312 = CyclicAction(3, (0, 1, 2))
-    assert first_betti_via_fibers(a312, 1) == 0
-    assert first_betti_via_fibers(a312, 2) == 1
-    assert first_betti_via_fibers(CyclicAction(4, (0, 1, 2, 3)), 1) == 12
-    with pytest.raises(ValueError):
-        first_betti_via_fibers(a312, 0)
+    assert ideal_dimension(a312, 2) == \
+        fiber_partition(a312).relation_count == 0
+    assert ideal_dimension(a312, 3) == 1
+    threefold = CyclicAction(4, (0, 1, 2, 3))
+    assert ideal_dimension(threefold, 2) == \
+        fiber_partition(threefold).relation_count == 12
+    assert minimal_generators(a312).counts == (0, 1)
 
 
 def test_first_betti_equals_quadric_rank_identity():
@@ -80,7 +86,8 @@ def test_first_betti_equals_quadric_rank_identity():
     # which the closed formulas reproduce for every surface
     for triple in surface_triples(10):
         profile = surface_profile(*triple)
-        via_fibers = first_betti_via_fibers(profile.action, 1)
+        via_fibers = fiber_partition(profile.action).relation_count
+        assert via_fibers == ideal_dimension(profile.action, 2), triple
         assert via_fibers == generator_counts(profile).quadrics, triple
 
 

@@ -9,9 +9,8 @@ from gt_toolkit.semigroups import (AffineSemigroup, NormalityReport,
                                    TrungReport, UnsupportedSemigroupError,
                                    _apery, _below, _lattice_points,
                                    _point_test, is_normal_up_to,
-                                   lattice_member, lemma_two_zero_check,
-                                   make_h3t, make_hk, member,
-                                   saturation_member, semigroup_of_action,
+                                   lemma_two_zero_check, make_h3t, make_hk,
+                                   member, semigroup_of_action,
                                    trung_cm_check)
 
 H6_GENERATORS = {(6, 0, 0), (0, 6, 0), (0, 0, 6), (4, 1, 1), (1, 4, 1),
@@ -66,10 +65,9 @@ def test_non_integer_coordinates_are_rejected():
     with pytest.raises(ValueError, match="generator coordinate"):
         AffineSemigroup.from_generators([(True, 0), (0, 1)])
     h6 = make_h3t(2)
-    for query in (member, lattice_member, saturation_member):
-        for w in [(2.9, 2, 2), (6.0, 0, 0), ("6", 0, 0), (False, 0, 6)]:
-            with pytest.raises(ValueError, match="vector coordinate"):
-                query(h6, w)
+    for w in [(2.9, 2, 2), (6.0, 0, 0), ("6", 0, 0), (False, 0, 6)]:
+        with pytest.raises(ValueError, match="vector coordinate"):
+            member(h6, w)
 
 
 def test_semigroup_of_action():
@@ -250,19 +248,23 @@ def test_apery_size_is_lattice_index_exactly_when_cm():
 
 
 def _normality_by_member(H, bound):
-    """The normality scan through the public API: one lattice_member and
-    one member call per point."""
+    """The normality scan through the public API: a lattice test against
+    the residue closure and one member call per point."""
+    closure = _residue_closure(H)
+    g = H.degree
     for level in range(bound + 1):
-        for w in exponent_vectors(H.dim, level * H.degree):
-            if lattice_member(H, w) and not member(H, w).member:
+        for w in exponent_vectors(H.dim, level * g):
+            if tuple(c % g for c in w) in closure and not member(H, w).member:
                 return NormalityReport(False, bound, w)
     return NormalityReport(True, bound, None)
 
 
 def _trung_by_member(H, bound):
-    """The CM scan through the public API: lattice_member per point and
-    member per point and per axis translate, with the hypothesis loop."""
+    """The CM scan through the public API: a lattice test against the
+    residue closure per point and member per point and per axis
+    translate, with the hypothesis loop."""
     axes = H.axis_generator_indices()
+    closure = _residue_closure(H)
     g = H.degree
     hypothesis_ok = all((g * gen[k]) % H.generators[idx][k] == 0
                         for gen in H.generators
@@ -271,7 +273,7 @@ def _trung_by_member(H, bound):
     lattice_points = pair_hits = 0
     for level in range(bound + 1):
         for w in exponent_vectors(H.dim, level * g):
-            if not lattice_member(H, w):
+            if tuple(c % g for c in w) not in closure:
                 continue
             lattice_points += 1
             translates_in = 0
@@ -306,7 +308,6 @@ def test_scans_match_public_member_route(monkeypatch):
         raise AssertionError("the scans must read the Apery classes")
 
     monkeypatch.setattr(semigroups, "member", forbidden)
-    monkeypatch.setattr(semigroups, "lattice_member", forbidden)
     for name, H in named.items():
         got = (is_normal_up_to(H, 8).to_dict(), trung_cm_check(H, 8).to_dict())
         assert got == expected[name], name
@@ -350,41 +351,6 @@ def test_point_test_matches_below_on_point_and_translates():
             assert _point_test(entries, w, g) == (in_h, translates), (name, w)
 
 
-def test_lattice_member():
-    h6 = make_h3t(2)
-    assert lattice_member(h6, (3, -3, 0))
-    assert not lattice_member(h6, (1, 1, 1))
-    for g in h6.generators:
-        assert lattice_member(h6, g)
-    assert lattice_member(h6, (0, 0, 0))
-    with pytest.raises(ValueError):
-        lattice_member(h6, (1, 2))
-    named = {"h3t(2)": h6, "cubic": CUBIC,
-             "s5": AffineSemigroup.from_generators(RANDOM_SETS["s5"]),
-             "s7": AffineSemigroup.from_generators(RANDOM_SETS["s7"]),
-             "(7; 0,1,3)": semigroup_of_action(CyclicAction(7, (0, 1, 3)))}
-    box = range(-7, 8)
-    for name, H in named.items():
-        closure = _residue_closure(H)
-        g = H.degree
-        for w in ((a, b, c) for a in box for b in box for c in box):
-            expected = tuple(x % g for x in w) in closure
-            assert lattice_member(H, w) == expected, (name, w)
-    no_axes = AffineSemigroup.from_generators([(1, 1, 0), (0, 1, 1)])
-    with pytest.raises(UnsupportedSemigroupError):
-        lattice_member(no_axes, (1, 2, 1))
-
-
-def test_saturation_member():
-    h6 = make_h3t(2)
-    assert saturation_member(h6, (3, 3, 0))
-    assert not saturation_member(h6, (1, 1, 1))
-    assert not saturation_member(h6, (-1, 4, 3))
-    no_axes = AffineSemigroup.from_generators([(1, 1, 0), (0, 1, 1)])
-    with pytest.raises(UnsupportedSemigroupError):
-        saturation_member(no_axes, (1, 0, 1))
-
-
 def test_is_normal_up_to():
     report = is_normal_up_to(make_h3t(2), 3)
     assert not report.normal_up_to_bound
@@ -409,7 +375,9 @@ def test_trung_counterexample():
     assert report.status == "counterexample"
     w = report.witness
     assert w is not None
-    assert saturation_member(H, w)
+    # in the saturation: nonnegative, with its residue in the lattice's
+    assert min(w) >= 0
+    assert tuple(c % H.degree for c in w) in _residue_closure(H)
     assert not member(H, w).member
     translates = [tuple(a + b for a, b in zip(w, H.generators[i]))
                   for i in report.f_indices]

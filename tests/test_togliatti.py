@@ -6,8 +6,7 @@ import pytest
 from gt_toolkit.actions import (CyclicAction, exponent_vectors,
                                 invariant_monomials, mu_d)
 from gt_toolkit.exactalg import integer_rank
-from gt_toolkit.togliatti import (classify, generator_bound,
-                                  togliatti_bound_ok, wlp_fails_in_degree)
+from gt_toolkit.togliatti import classify, generator_bound, wlp_fails_in_degree
 
 
 def surface_actions(max_d):
@@ -19,11 +18,14 @@ def surface_actions(max_d):
 
 
 def test_bound_examples():
-    assert togliatti_bound_ok(CyclicAction(5, (0, 1, 3)))
-    assert togliatti_bound_ok(CyclicAction(3, (0, 1, 2)))  # 4 <= 4
+    assert classify(CyclicAction(5, (0, 1, 3))).is_togliatti_candidate
+    # mu_d = 4 <= 4
+    assert classify(CyclicAction(3, (0, 1, 2))).is_togliatti_candidate
     wide = CyclicAction(2, (0, 1, 1, 1, 1))
     assert mu_d(wide) == 11 and generator_bound(wide) == 10
-    assert not togliatti_bound_ok(wide)
+    result = classify(wide)
+    assert (result.mu_d, result.bound) == (11, 10)
+    assert not result.is_togliatti_candidate
 
 
 def test_wlp_goldens():
@@ -112,9 +114,9 @@ def test_classify_surface_families():
 
 def test_surface_sweep_bound_and_wlp():
     for action in surface_actions(10):
-        assert togliatti_bound_ok(action)
         assert mu_d(action) <= action.d + 1
         result = classify(action)
+        assert result.is_togliatti_candidate
         assert result.is_gt_system
         assert result.kernel_dimension >= 1
         check = wlp_fails_in_degree(action, action.d - 1)

@@ -1,9 +1,10 @@
 from itertools import combinations_with_replacement
 from math import gcd
+from operator import add
 
 import pytest
 
-from gt_toolkit.actions import CyclicAction
+from gt_toolkit.actions import CyclicAction, invariant_monomials
 from gt_toolkit.exactalg import integer_rank
 from gt_toolkit.hilbert import surface_profile
 from gt_toolkit.resolution import generator_counts
@@ -44,19 +45,45 @@ FORMULA_EXCEPTIONS = {
 }
 
 
+def _multiset_fibers(action, j):
+    """Degree-j generator multisets grouped by product monomial, fibers
+    lex descending by product and multisets lex ascending within each:
+    a second route to fiber_partition at j = 2, and the multiset fibers
+    that the generator graph stands for at j = 3 and 4.
+
+    Multisets grow one index at a time, never below their last, so each
+    product is one addition away from its parent's.  The levels are
+    chained generators: only the fibers are ever held in memory.
+    """
+    gens = invariant_monomials(action, 1).monomials
+    level = (((i,), g) for i, g in enumerate(gens))
+    for _ in range(j - 1):
+        level = ((multiset + (i,), tuple(map(add, product, gens[i])))
+                 for multiset, product in level
+                 for i in range(multiset[-1], len(gens)))
+    groups = {}
+    for multiset, product in level:
+        groups.setdefault(product, []).append(multiset)
+    return {p: tuple(groups[p]) for p in sorted(groups, reverse=True)}
+
+
+def _relations(fibers):
+    return sum(len(ms) - 1 for ms in fibers.values())
+
+
 def test_fiber_partition_goldens():
     a312 = CyclicAction(3, (0, 1, 2))
-    cubes = fiber_partition(a312, 3)
-    nontrivial = [(p, ms) for p, ms in cubes.fibers.items() if len(ms) > 1]
+    cubes = _multiset_fibers(a312, 3)
+    nontrivial = [(p, ms) for p, ms in cubes.items() if len(ms) > 1]
     assert len(nontrivial) == 1
     product, multisets = nontrivial[0]
     assert product == (3, 3, 3)
-    gens = cubes.generators
+    gens = invariant_monomials(a312, 1).monomials
     pure = tuple(sorted(i for i, m in enumerate(gens) if max(m) == 3))
     mixed = next(i for i, m in enumerate(gens) if max(m) == 1)
     assert set(multisets) == {pure, (mixed,) * 3}
-    assert fiber_partition(a312, 2).relation_count == 0
-    assert fiber_partition(CyclicAction(6, (0, 1, 3)), 2).relation_count == 9
+    assert fiber_partition(a312).relation_count == 0
+    assert fiber_partition(CyclicAction(6, (0, 1, 3))).relation_count == 9
 
 
 def test_ideal_dimension_goldens():
@@ -72,7 +99,7 @@ def test_ideal_dimension_matches_fiber_counts():
         action = CyclicAction(d, (0, a, b))
         for j in (2, 3):
             assert ideal_dimension(action, j) == \
-                fiber_partition(action, j).relation_count
+                _relations(_multiset_fibers(action, j))
 
 
 def test_unique_cubic_for_degree_three():
@@ -155,7 +182,7 @@ def test_fiber_components_match_dense_rank():
                     for lhs, rhs in pairs for var in range(len(gens))]
 
         differences = [(ms[0], other)
-                       for ms in fiber_partition(action, 3).fibers.values()
+                       for ms in _multiset_fibers(action, 3).values()
                        for other in ms[1:]]
         products = shifts(result.quadrics)
         spans = (products, products + differences, shifts(differences))
@@ -192,7 +219,7 @@ def test_component_walk_is_iterative():
 
 def _multiset_route(action):
     """minimal_generators as the earlier route gave it: every degree-3
-    and degree-4 generator multiset through fiber_partition, and the
+    and degree-4 generator multiset through _multiset_fibers, and the
     components of each fiber by union-find over shared indices, each
     led by its lex-least multiset."""
 
@@ -213,17 +240,18 @@ def _multiset_route(action):
             first.setdefault(find(ms[0]), ms)
         return list(first.values())
 
-    squares = fiber_partition(action, 2)
     quadrics = [(ms[0], other)
-                for ms in squares.fibers.values() for other in ms[1:]]
+                for ms in _multiset_fibers(action, 2).values()
+                for other in ms[1:]]
     cubics = []
-    for ms in fiber_partition(action, 3).fibers.values():
+    for ms in _multiset_fibers(action, 3).values():
         lead = leaders(ms)
         cubics.extend((lead[0], other) for other in lead[1:])
     deficit = sum(len(leaders(ms)) - 1
-                  for ms in fiber_partition(action, 4).fibers.values())
-    return BinomialGeneratorSet(action, squares.generators, tuple(quadrics),
-                                tuple(cubics), deficit)
+                  for ms in _multiset_fibers(action, 4).values())
+    gens = invariant_monomials(action, 1).monomials
+    return BinomialGeneratorSet(action, gens, tuple(quadrics), tuple(cubics),
+                                deficit)
 
 
 def action_classes(nvars, max_d):
@@ -248,6 +276,8 @@ def test_generator_graph_matches_multiset_route():
     for action in actions:
         assert minimal_generators(action).to_dict() == \
             _multiset_route(action).to_dict(), action
+        assert list(fiber_partition(action).fibers.items()) == \
+            list(_multiset_fibers(action, 2).items()), action
 
 
 # minimal_generators(...).to_dict() as the earlier shifted-row span route
@@ -340,7 +370,5 @@ def test_threefold_runs_with_marker():
 
 
 def test_fiber_partition_validation():
-    with pytest.raises(ValueError):
-        fiber_partition(CyclicAction(3, (0, 1, 2)), 0)
     with pytest.raises(ValueError):
         ideal_dimension(CyclicAction(3, (0, 1, 2)), -1)
