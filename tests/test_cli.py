@@ -3,13 +3,16 @@ import os
 import subprocess
 import sys
 from dataclasses import replace
-from math import comb
+from math import comb, gcd
 from pathlib import Path
 
 import pytest
 
-from gt_toolkit import cli, togliatti, toricideal
+from gt_toolkit import cli, togliatti, toricideal, verify
 from gt_toolkit.actions import CyclicAction, mu_d
+from gt_toolkit.hilbert import hf_closed_form, surface_profile
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(capsys, *argv):
@@ -201,6 +204,54 @@ def test_verify_paper(capsys):
     assert status == 0
     lines = [l for l in out.splitlines() if l.startswith(("PASS", "FAIL"))]
     assert lines and all(l.startswith("PASS") for l in lines)
+
+
+def test_failed_reference_check_exits_3(capsys, monkeypatch):
+    monkeypatch.setitem(verify.SURFACE_INVARIANT_VALUES, (1, 3, 5), (5, 2, 3))
+    status, out, _ = run(capsys, "verify-paper")
+    assert status == 3
+    failed = [l for l in out.splitlines() if l.startswith("FAIL")]
+    assert len(failed) == 1
+    assert failed[0].startswith("FAIL  surface invariants  [got")
+    status, out, _ = run(capsys, "verify-paper", "--format", "json")
+    report = json.loads(out)
+    assert status == 3
+    assert (report["failed"], report["passed"]) == (1, 23)
+
+
+def test_surface_reports_pin_invariants_and_closed_form(capsys):
+    for d in range(3, 13):
+        for a in range(1, d):
+            for b in range(a + 1, d):
+                if gcd(a, b, d) != 1:
+                    continue
+                p = surface_profile(a, b, d)
+                args = (str(a), str(b), str(d), "--format", "json")
+                status, out, _ = run(capsys, "hilbert", *args)
+                assert status == 0, (a, b, d)
+                report = json.loads(out)
+                assert report["invariants"] == {
+                    "mu_d": (d + p.theta + 2) // 2, "degree": d,
+                    "codim": p.codim, "cm_type": p.cm_type, "reg": 3,
+                }, (a, b, d)
+                table = report["hilbert"]["table"]
+                for t, row in enumerate(report["routes"]):
+                    assert row["closed_form"] == hf_closed_form(p, t) \
+                        == table[t], (a, b, d, t)
+                status, out, _ = run(capsys, "betti", *args)
+                assert status == 0, (a, b, d)
+                counted = mu_d(CyclicAction(d, (0, a, b)))
+                assert json.loads(out)["betti"]["mu_d"] == counted, (a, b, d)
+
+
+def test_readme_hilbert_example_is_verbatim(capsys):
+    prompt = "$ gt-toolkit hilbert 1 3 6 --t 3\n"
+    text = README.read_text(encoding="utf-8")
+    start = text.index(prompt) + len(prompt)
+    block = text[start:text.index("```", start)]
+    status, out, _ = run(capsys, "hilbert", "1", "3", "6", "--t", "3")
+    assert status == 0
+    assert out == block
 
 
 def test_semigroup_member_deep_query(tmp_path, capsys):
