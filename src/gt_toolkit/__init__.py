@@ -19,7 +19,6 @@ from .exactalg import (
 )
 from .hilbert import (
     HilbertData,
-    SurfaceInvariants,
     SurfaceProfile,
     catalog_notes,
     catalog_theta,
@@ -27,7 +26,6 @@ from .hilbert import (
     hf_closed_form,
     hf_reduced,
     hilbert_series,
-    surface_invariants,
     surface_profile,
 )
 from .resolution import (

@@ -22,9 +22,8 @@ import sys
 
 from .actions import CyclicAction, format_monomial, invariant_monomials
 from .exactalg import InternalDiscrepancy
-from .hilbert import (catalog_notes, hf_by_counting, hf_closed_form,
-                      hf_reduced, hilbert_series, surface_invariants,
-                      surface_profile)
+from .hilbert import (catalog_notes, hf_by_counting, hf_reduced,
+                      hilbert_series, surface_profile)
 from .resolution import betti_table, generator_counts, series_from_betti
 from .semigroups import (AffineSemigroup, is_normal_up_to, make_h3t, make_hk,
                          member, trung_cm_check)
@@ -225,24 +224,27 @@ def _cmd_hilbert(args):
     if args.horizon < 1:
         raise _UsageError("--t must be at least 1")
     action = profile.action
+    data = hilbert_series(profile, args.horizon)
     table = []
     flags = list(profile.flags)
-    for t in range(args.horizon + 1):
+    for t, closed in enumerate(data.table):
         counted = hf_by_counting(action, t)
         reduced = hf_reduced(args.a, args.b, args.d, t)
-        closed = hf_closed_form(profile, t)
         if not counted == reduced == closed:
             flags.append(f"HF routes disagree at t={t}: "
                          f"{counted}/{reduced}/{closed}")
         table.append({"t": t, "by_counting": counted,
                       "reduced": reduced, "closed_form": closed})
-    data = hilbert_series(profile, args.horizon)
     notes = list(catalog_notes(profile))
+    # mu_d here is the theta formula's value, beside the profile's count
+    invariants = {"mu_d": (profile.d + profile.theta + 2) // 2,
+                  "degree": profile.degree, "codim": profile.codim,
+                  "cm_type": profile.cm_type, "reg": profile.reg}
     report = {
         "profile": profile.to_dict(),
         "hilbert": data.to_dict(),
         "routes": table,
-        "invariants": surface_invariants(profile).to_dict(),
+        "invariants": invariants,
         "flags": flags,
         "notes": notes,
     }

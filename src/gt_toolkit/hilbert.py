@@ -6,9 +6,12 @@ weights (0, a, b) two more routes exist: counting the reduced linear
 systems obtained after dividing out gcd(a, d), and a closed quadratic
 formula whose linear coefficient is the invariant theta(a, b, d).
 
-The enumeration count of degree-d invariants is the authority for
-theta: the profile carries both the gcd-formula value and the counted
-value and flags any mismatch instead of silently choosing.
+SurfaceProfile is the one source of the surface scalars mu_d, degree,
+codim, CM type and regularity; the Hilbert series and the Betti tables
+read them from it.  The enumeration count of degree-d invariants is the
+authority for theta: the profile carries both the gcd-formula value and
+the counted value, and its consistency verdict is derived from the two
+on every read, so a mismatch is flagged instead of silently choosing.
 """
 
 from __future__ import annotations
@@ -94,7 +97,7 @@ class SurfaceProfile:
     """Derived scalars of the GT-surface for weights (0, a, b) mod d.
 
     theta holds the gcd-formula value; mu_d holds the enumeration count
-    of degree-d invariants.  consistent records whether they agree via
+    of degree-d invariants.  consistent says whether they agree via
     mu_d = (d + theta + 2) / 2.  When they disagree both values stay
     available (theta_from_count) and every consumer can see the flag.
     """
@@ -112,11 +115,14 @@ class SurfaceProfile:
     mu: int
     theta: int
     mu_d: int
-    consistent: bool
 
     @property
     def theta_from_count(self) -> int:
         return 2 * self.mu_d - self.d - 2
+
+    @property
+    def consistent(self) -> bool:
+        return self.theta == self.theta_from_count
 
     @property
     def degree(self) -> int:
@@ -165,19 +171,16 @@ class SurfaceProfile:
 def surface_profile(a: int, b: int, d: int) -> SurfaceProfile:
     """Compute every derived scalar for the surface with weights (0, a, b)."""
     _validate_surface(a, b, d)
-    g_a = math.gcd(a, d)
+    g_a, d_prime, lam, mu = _lambda_mu(a, b, d)
     g_b = math.gcd(b, d)
-    _, d_prime, lam, mu = _lambda_mu(a, b, d)
     theta = g_a + math.gcd(lam, d_prime) + math.gcd(lam - g_a, d_prime)
-    counted = count_invariants(CyclicAction(d, (0, a, b)), 1)
-    consistent = theta == 2 * counted - d - 2
     return SurfaceProfile(
         a=a, b=b, d=d,
         gcd_ad=g_a, gcd_bd=g_b,
         a_prime=a // g_a, b_prime=b // g_b,
-        d_prime=d // g_a, d_second=d // g_b,
+        d_prime=d_prime, d_second=d // g_b,
         lam=lam, mu=mu,
-        theta=theta, mu_d=counted, consistent=consistent,
+        theta=theta, mu_d=count_invariants(CyclicAction(d, (0, a, b)), 1),
     )
 
 
@@ -197,7 +200,6 @@ def hf_closed_form(profile: SurfaceProfile, t: int) -> int:
 class HilbertData:
     """Hilbert polynomial, series numerator and value table of a surface."""
 
-    profile: SurfaceProfile
     polynomial: tuple[Fraction, Fraction, Fraction]  # leading first
     numerator: tuple[int, int, int]                  # constant first
     table: tuple[int, ...]                           # t = 0..horizon
@@ -214,17 +216,12 @@ class HilbertData:
 def hilbert_series(profile: SurfaceProfile, horizon: int = 6) -> HilbertData:
     """Closed-form Hilbert data; the table is re-derived from the series.
 
-    The numerator is 1 + (d+theta-4)/2 z + (d-theta+2)/2 z^2 over
-    (1-z)^3; its expansion is checked against the closed form for every
-    tabulated t.
+    The numerator is 1 + codim z + cm_type z^2 over (1-z)^3; its
+    expansion is checked against the closed form for every tabulated t.
     """
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
-    d, theta = profile.d, profile.theta
-    if (d + theta) % 2:
-        raise ArithmeticError(
-            "series numerator is not integral; theta has the wrong parity")
-    numerator = (1, (d + theta - 4) // 2, (d - theta + 2) // 2)
+    numerator = (1, profile.codim, profile.cm_type)
     table = tuple(hf_closed_form(profile, t) for t in range(horizon + 1))
     for t in range(horizon + 1):
         from_series = sum(numerator[k] * math.comb(t - k + 2, 2)
@@ -232,38 +229,8 @@ def hilbert_series(profile: SurfaceProfile, horizon: int = 6) -> HilbertData:
         if from_series != table[t]:
             raise InternalDiscrepancy(
                 f"series expansion disagrees with the closed form at t={t}")
-    poly = (Fraction(d, 2), Fraction(theta, 2), Fraction(1))
-    return HilbertData(profile, poly, numerator, table)
-
-
-@dataclass(frozen=True)
-class SurfaceInvariants:
-    mu_d: int
-    degree: int
-    codim: int
-    cm_type: int
-    reg: int
-
-    def to_dict(self) -> dict:
-        return {"mu_d": self.mu_d, "degree": self.degree, "codim": self.codim,
-                "cm_type": self.cm_type, "reg": self.reg}
-
-
-def surface_invariants(profile: SurfaceProfile) -> SurfaceInvariants:
-    """Numeric invariants from the theta formulas.
-
-    mu_d = (d + theta + 2)/2, codim = (d + theta - 4)/2, CM type
-    (d - theta + 2)/2 and regularity 3.  For prime d this specializes
-    to mu_d = (d+5)/2 and codim = (d-1)/2.
-    """
-    d, theta = profile.d, profile.theta
-    return SurfaceInvariants(
-        mu_d=(d + theta + 2) // 2,
-        degree=d,
-        codim=profile.codim,
-        cm_type=profile.cm_type,
-        reg=3,
-    )
+    poly = (Fraction(profile.d, 2), Fraction(profile.theta, 2), Fraction(1))
+    return HilbertData(poly, numerator, table)
 
 
 def catalog_theta(a: int, b: int, d: int) -> int | None:

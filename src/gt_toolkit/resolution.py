@@ -24,7 +24,6 @@ class BettiTable:
     """
 
     profile: SurfaceProfile
-    mu_d: int
     c: int
     h: int
     case: str  # "theta=3" or "theta>=4"
@@ -52,7 +51,7 @@ class BettiTable:
 
     def to_dict(self) -> dict:
         ranks = {f"{l},{i}": r for (l, i), r in sorted(self.entries.items())}
-        return {"mu_d": self.mu_d, "c": self.c, "h": self.h,
+        return {"mu_d": self.profile.mu_d, "c": self.c, "h": self.h,
                 "case": self.case, "ranks": ranks}
 
 
@@ -80,8 +79,7 @@ def betti_table(profile: SurfaceProfile) -> BettiTable:
             entries[(l, 2)] = (l - c + h + 1) * binomial(c, l)
         case = "theta>=4"
     entries = {k: v for k, v in entries.items() if v != 0}
-    return BettiTable(profile=profile, mu_d=profile.mu_d, c=c, h=h,
-                      case=case, entries=entries)
+    return BettiTable(profile=profile, c=c, h=h, case=case, entries=entries)
 
 
 @dataclass(frozen=True)
@@ -151,7 +149,7 @@ def series_from_betti(table: BettiTable) -> RationalSeries:
     coeffs[0] = 1
     for (l, i), r in table.entries.items():
         coeffs[l + i] += (-1) ** l * r
-    pole = table.mu_d
+    pole = table.profile.mu_d
     while pole > 0:
         reduced = _divide_by_one_minus_z(coeffs)
         if reduced is None:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .actions import CyclicAction, egz_factor, invariant_monomials, is_invariant, mu_d
 from .hilbert import (catalog_notes, hf_by_counting, hf_reduced,
-                      hilbert_series, surface_invariants, surface_profile)
+                      hilbert_series, surface_profile)
 from .resolution import betti_table, generator_counts, series_from_betti
 from .semigroups import (AffineSemigroup, is_normal_up_to, lemma_two_zero_check,
                          make_h3t, make_hk, member, semigroup_of_action,
@@ -206,8 +206,8 @@ def _check_profiles():
 def _check_surface_invariants():
     got = {}
     for (a, b, d) in SURFACE_INVARIANT_VALUES:
-        inv = surface_invariants(surface_profile(a, b, d))
-        got[(a, b, d)] = (inv.mu_d, inv.codim, inv.cm_type)
+        p = surface_profile(a, b, d)
+        got[(a, b, d)] = (p.mu_d, p.codim, p.cm_type)
     return _eq("surface invariants", got, SURFACE_INVARIANT_VALUES)
 
 

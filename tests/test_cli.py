@@ -219,6 +219,20 @@ def test_failed_reference_check_exits_3(capsys, monkeypatch):
     assert (report["failed"], report["passed"]) == (1, 23)
 
 
+def test_inconsistent_profile_is_flagged(capsys, monkeypatch):
+    # the verdict is derived from theta and the count, so a profile
+    # whose count disagrees with theta is flagged and exits 2
+    stale = replace(surface_profile(1, 3, 6), mu_d=8)
+    assert not stale.consistent and len(stale.flags) == 1
+    monkeypatch.setattr(cli, "surface_profile", lambda a, b, d: stale)
+    status, out, _ = run(capsys, "hilbert", "1", "3", "6", "--format", "json")
+    report = json.loads(out)
+    assert status == 2
+    assert report["profile"]["mu_d"] == 8
+    assert report["invariants"]["mu_d"] == 7
+    assert report["profile"]["consistent"] is False
+
+
 def test_surface_reports_pin_invariants_and_closed_form(capsys):
     for d in range(3, 13):
         for a in range(1, d):

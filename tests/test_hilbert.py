@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 from math import gcd
 
@@ -7,7 +8,7 @@ import pytest
 from gt_toolkit.actions import CyclicAction, invariant_monomials
 from gt_toolkit.hilbert import (catalog_notes, catalog_theta, hf_by_counting,
                                 hf_closed_form, hf_reduced, hilbert_series,
-                                surface_invariants, surface_profile)
+                                surface_profile)
 
 
 def surface_triples(max_d):
@@ -80,20 +81,20 @@ def test_polynomial_evaluates_to_table():
 
 
 def test_surface_invariants_goldens():
-    inv = surface_invariants(surface_profile(1, 3, 5))
-    assert (inv.mu_d, inv.codim) == (5, 2)
-    inv = surface_invariants(surface_profile(1, 2, 3))
-    assert (inv.mu_d, inv.codim, inv.cm_type, inv.reg) == (4, 1, 1, 3)
-    inv = surface_invariants(surface_profile(3, 5, 8))
-    assert (inv.mu_d, inv.codim, inv.cm_type) == (7, 4, 3)
+    p = surface_profile(1, 3, 5)
+    assert (p.mu_d, p.codim) == (5, 2)
+    p = surface_profile(1, 2, 3)
+    assert (p.mu_d, p.codim, p.cm_type, p.reg) == (4, 1, 1, 3)
+    p = surface_profile(3, 5, 8)
+    assert (p.mu_d, p.codim, p.cm_type) == (7, 4, 3)
 
 
 def test_prime_degree_specialization():
     for (a, b, d) in surface_triples(13):
         if d in (3, 5, 7, 11, 13):
-            inv = surface_invariants(surface_profile(a, b, d))
-            assert inv.mu_d == (d + 5) // 2
-            assert inv.codim == (d - 1) // 2
+            p = surface_profile(a, b, d)
+            assert p.mu_d == (d + 5) // 2
+            assert p.codim == (d - 1) // 2
 
 
 def test_triple_agreement_sweep():
@@ -112,7 +113,16 @@ def test_mu_d_formula_equals_enumeration():
         p = surface_profile(a, b, d)
         count = invariant_monomials(p.action, 1).count
         assert p.mu_d == count
-        assert surface_invariants(p).mu_d == count
+        assert (d + p.theta + 2) // 2 == count
+
+
+def test_consistency_verdict_follows_the_fields():
+    p = surface_profile(1, 3, 6)
+    assert p.consistent and p.flags == ()
+    stale = replace(p, mu_d=8)
+    assert not stale.consistent
+    assert len(stale.flags) == 1
+    assert replace(stale, mu_d=7).consistent
 
 
 def test_lambda_never_one_for_coprime_a():
