@@ -50,6 +50,13 @@ def test_surface_profile_goldens():
     p = surface_profile(2, 3, 6)
     assert p.theta == 6 and p.mu_d == 7
 
+    # the verdict is derived from theta and the count, so it follows a
+    # replaced count instead of going stale
+    p = surface_profile(1, 3, 6)
+    assert p.consistent and p.flags == ()
+    stale = replace(p, mu_d=8)
+    assert not stale.consistent and len(stale.flags) == 1
+
 
 def test_surface_profile_validation():
     for bad in [(0, 1, 3), (2, 2, 3), (1, 3, 3), (2, 4, 6)]:
@@ -114,15 +121,6 @@ def test_mu_d_formula_equals_enumeration():
         count = invariant_monomials(p.action, 1).count
         assert p.mu_d == count
         assert (d + p.theta + 2) // 2 == count
-
-
-def test_consistency_verdict_follows_the_fields():
-    p = surface_profile(1, 3, 6)
-    assert p.consistent and p.flags == ()
-    stale = replace(p, mu_d=8)
-    assert not stale.consistent
-    assert len(stale.flags) == 1
-    assert replace(stale, mu_d=7).consistent
 
 
 def test_lambda_never_one_for_coprime_a():
