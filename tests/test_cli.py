@@ -11,6 +11,7 @@ import pytest
 from gt_toolkit import cli, togliatti, toricideal, verify
 from gt_toolkit.actions import CyclicAction, mu_d
 from gt_toolkit.hilbert import hf_closed_form, surface_profile
+from gt_toolkit.semigroups import make_hk
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -206,17 +207,181 @@ def test_verify_paper(capsys):
     assert lines and all(l.startswith("PASS") for l in lines)
 
 
-def test_failed_reference_check_exits_3(capsys, monkeypatch):
-    monkeypatch.setitem(verify.SURFACE_INVARIANT_VALUES, (1, 3, 5), (5, 2, 3))
+def _fixture(name, key, value):
+    """Replace one entry of a verify fixture for one test."""
+    return lambda monkeypatch: monkeypatch.setitem(getattr(verify, name),
+                                                   key, value)
+
+
+def _during(check, callee, alter):
+    """While verify._check_<check> runs, and only then, pass every result
+    of verify.<callee>(*args) through alter(result, *args)."""
+    def mutate(monkeypatch):
+        index = [f.__name__ for f in verify.CHECKS].index(f"_check_{check}")
+        real_check, real_callee = verify.CHECKS[index], getattr(verify, callee)
+
+        def mutated_check():
+            setattr(verify, callee,
+                    lambda *args: alter(real_callee(*args), *args))
+            try:
+                return real_check()
+            finally:
+                setattr(verify, callee, real_callee)
+
+        checks = list(verify.CHECKS)
+        checks[index] = mutated_check
+        monkeypatch.setattr(verify, "CHECKS", checks)
+    return mutate
+
+
+def _unless(condition, change):
+    return lambda result, *args: (change(result) if condition(*args)
+                                  else result)
+
+
+# one mutation per reference check: the check's name, the mutation and,
+# for a check that compares dicts, the key of the one entry it changes
+REFERENCE_MUTATIONS = [
+    pytest.param("invariant monomial sets",
+                 _fixture("INVARIANT_SETS", (3, (0, 1, 2), 1),
+                          {(3, 0, 0), (0, 3, 0), (0, 0, 3)}),
+                 (3, (0, 1, 2), 1), id="invariant_sets"),
+    pytest.param("generator counts mu_d",
+                 _fixture("MU_D_VALUES", (5, (0, 1, 3)), 6),
+                 (5, (0, 1, 3)), id="mu_d"),
+    pytest.param("Hilbert function values",
+                 _fixture("HF_VALUES", (4, (0, 1, 2, 3)), {1: 10, 2: 44}),
+                 (4, (0, 1, 2, 3)), id="hf_values"),
+    pytest.param("threefold first Betti number (12 quadrics)",
+                 _during("threefold_b11", "ideal_dimension",
+                         lambda n, action, j: n + 1),
+                 None, id="threefold_b11"),
+    pytest.param("cubic surface b(1,1)=0 and b(1,2)=1",
+                 _during("cubic_b1", "minimal_generators",
+                         lambda g, action: replace(g, cubics=g.cubics * 2)),
+                 None, id="cubic_b1"),
+    pytest.param("EGZ factorization examples",
+                 _during("egz", "egz_factor",
+                         _unless(lambda action, v: v == (4, 1, 1),
+                                 lambda parts: parts[:-1])),
+                 (4, 1, 1), id="egz"),
+    pytest.param("WLP failure",
+                 _during("wlp", "wlp_fails_in_degree",
+                         _unless(lambda action, j: action.d == 3,
+                                 lambda c: replace(c, kernel_dimension=2))),
+                 None, id="wlp"),
+    pytest.param("GT classification families",
+                 _during("classification_families", "classify",
+                         _unless(lambda action: action.d == 6,
+                                 lambda r: replace(r, is_gt_system=False))),
+                 (6, (0, 1, 2)), id="classification_families"),
+    pytest.param("surface profiles (lambda, mu, theta)",
+                 _fixture("PROFILE_VALUES", (3, 5, 8), (7, -2, 5)),
+                 (3, 5, 8), id="profiles"),
+    pytest.param("surface invariants",
+                 _fixture("SURFACE_INVARIANT_VALUES", (1, 3, 5), (5, 2, 3)),
+                 (1, 3, 5), id="surface_invariants"),
+    pytest.param("reduced-system counts",
+                 _during("reduced_counts", "hf_reduced",
+                         lambda n, a, b, d, t: n + (d == 8)),
+                 None, id="reduced_counts"),
+    pytest.param("Hilbert series numerators",
+                 _fixture("SERIES_NUMERATORS", (2, 3, 6), (1, 4, 2)),
+                 (2, 3, 6), id="series"),
+    pytest.param("Betti tables",
+                 _fixture("BETTI_TABLES", "d=6 codim 3",
+                          ((1, 2, 6), {(1, 1): 4, (2, 1): 2, (2, 2): 3,
+                                       (3, 2): 3})),
+                 "d=6 codim 3", id="betti"),
+    pytest.param("generator count formulas",
+                 _fixture("GENERATOR_COUNT_VALUES", (1, 3, 5), (1, 3)),
+                 (1, 3, 5), id="generator_counts"),
+    pytest.param("cubic surface ideal",
+                 _during("cubic_ideal", "minimal_generators",
+                         lambda g, action: replace(
+                             g, cubics=(((0, 0, 0), g.cubics[0][1]),))),
+                 None, id="cubic_ideal"),
+    pytest.param("toric ideal dimensions",
+                 _during("ideal_dimensions", "ideal_dimension",
+                         lambda n, action, j: n + (action.d == 5)),
+                 None, id="ideal_dimensions"),
+    pytest.param("shifted family generators",
+                 _fixture("H3T_GENERATORS", 3,
+                          verify.H3T_GENERATORS[3] - {(3, 3, 3)}),
+                 3, id="h3t_generators"),
+    pytest.param("membership facts",
+                 _during("membership_facts", "member",
+                         _unless(lambda H, w: w == (0, 15, 9),
+                                 lambda m: replace(m, member=True))),
+                 (0, 15, 9), id="membership_facts"),
+    pytest.param("normality witness",
+                 _during("normality", "is_normal_up_to",
+                         _unless(lambda H, bound: H.degree == 5,
+                                 lambda r: replace(r, normal_up_to_bound=False,
+                                                   witness=(5, 5, 5)))),
+                 (5, (0, 1, 3)), id="normality"),
+    pytest.param("one-zero-coordinate membership lemma",
+                 _during("lemma_two_zero", "lemma_two_zero_check",
+                         lambda ok, t, box: ok and t != 2),
+                 2, id="lemma_two_zero"),
+    pytest.param("CM certification of the shifted family",
+                 _during("trung_families", "trung_cm_check",
+                         _unless(lambda H, bound: H == make_hk(2, 2),
+                                 lambda r: replace(r, status="counterexample"))),
+                 "hk(2, 2)", id="trung_families"),
+    pytest.param("CM certification of GT semigroups",
+                 _during("trung_gt", "trung_cm_check",
+                         _unless(lambda H, bound: H.degree == 5,
+                                 lambda r: replace(r, status="counterexample"))),
+                 (5, (0, 1, 3)), id="trung_gt"),
+    pytest.param("non-aCM counterexample",
+                 _during("non_acm_counterexample", "member",
+                         lambda m, H, w: replace(m, member=True)),
+                 None, id="non_acm_counterexample"),
+    pytest.param("non-aCM counterexample",
+                 _during("non_acm_counterexample", "trung_cm_check",
+                         lambda r, H, bound: replace(
+                             r, status="verified-up-to-bound", witness=None)),
+                 None, id="non_acm_without_witness"),
+    pytest.param("published catalogue notes",
+                 _during("catalog_notes", "catalog_notes",
+                         lambda notes, profile: notes or ("spurious",)),
+                 (1, 2, 6), id="catalog_notes"),
+]
+
+
+@pytest.mark.parametrize("name, mutate, key", REFERENCE_MUTATIONS)
+def test_each_reference_check_reports_its_own_failure(capsys, monkeypatch,
+                                                      name, mutate, key):
+    mutate(monkeypatch)
     status, out, _ = run(capsys, "verify-paper")
     assert status == 3
     failed = [l for l in out.splitlines() if l.startswith("FAIL")]
     assert len(failed) == 1
-    assert failed[0].startswith("FAIL  surface invariants  [got")
+    assert failed[0].startswith(f"FAIL  {name}  [")
     status, out, _ = run(capsys, "verify-paper", "--format", "json")
     report = json.loads(out)
     assert status == 3
     assert (report["failed"], report["passed"]) == (1, 23)
+
+
+def test_output_does_not_depend_on_the_hash_seed():
+    # sets are printed in hash order; a str hash changes with the seed
+    failing = ("import sys; from gt_toolkit import cli, verify; "
+               "verify.H3T_GENERATORS[2] = {(6, 0, 0)}; "
+               "sys.exit(cli.main(['verify-paper', '--format', 'json']))")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    for args, expected_status in (
+            (["-m", "gt_toolkit.cli", "verify-paper", "--format", "json"], 0),
+            (["-m", "gt_toolkit.cli", "ideal", "5", "0,1,2,3",
+              "--format", "json"], 0),
+            (["-c", failing], 3)):
+        runs = [subprocess.run([sys.executable, *args], capture_output=True,
+                               env=dict(os.environ, PYTHONPATH=src,
+                                        PYTHONHASHSEED=seed))
+                for seed in ("0", "1")]
+        assert [r.returncode for r in runs] == [expected_status] * 2, args
+        assert runs[0].stdout == runs[1].stdout, args
 
 
 def test_inconsistent_profile_is_flagged(capsys, monkeypatch):
