@@ -55,10 +55,11 @@ class CyclicAction:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CyclicAction":
-        try:
-            d, weights = data["d"], data["weights"]
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"malformed action input: {exc}") from exc
+        # other keys are ignored
+        if not isinstance(data, dict) or not {"d", "weights"} <= data.keys():
+            raise ValueError("malformed action input: need a JSON object "
+                             "with d and weights")
+        d, weights = data["d"], data["weights"]
         if not isinstance(weights, list):
             raise ValueError("malformed action input: weights must be a list")
         return cls(exact_int(d, "d"),

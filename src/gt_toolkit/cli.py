@@ -271,7 +271,7 @@ def _cmd_hilbert(args):
 def _cmd_betti(args):
     profile = surface_profile(args.a, args.b, args.d)
     table = betti_table(profile)
-    counts = generator_counts(profile)
+    counts = generator_counts(table)
     series = series_from_betti(table)
     flags = list(profile.flags)
     if not series.matches_closed_form:

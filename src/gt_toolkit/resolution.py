@@ -91,20 +91,20 @@ class GeneratorCounts:
         return {"quadrics": self.quadrics, "cubics": self.cubics}
 
 
-def generator_counts(profile: SurfaceProfile) -> GeneratorCounts:
-    """Minimal generator counts of the surface ideal.
+def generator_counts(table: BettiTable) -> GeneratorCounts:
+    """Minimal generator counts of the surface ideal of table's profile.
 
     theta = 3 gives binomial(mu_d-3, 2) quadrics and mu_d - 3 cubics;
     theta >= 4 gives binomial(mu_d-3, 2) + 2(mu_d-3) - d + 1 quadrics
-    and no cubics.  Cross-checked against the Betti table on every call.
+    and no cubics.  The counts must equal the table's b(1,1) and b(1,2).
     """
+    profile = table.profile
     m = profile.mu_d
     if profile.theta == 3:
         counts = GeneratorCounts(binomial(m - 3, 2), m - 3)
     else:
         counts = GeneratorCounts(binomial(m - 3, 2) + 2 * (m - 3)
                                  - profile.d + 1, 0)
-    table = betti_table(profile)
     if (counts.quadrics, counts.cubics) != (table.rank(1, 1), table.rank(1, 2)):
         raise InternalDiscrepancy(
             f"generator counts disagree with the Betti table for {profile}")

@@ -11,6 +11,7 @@ the fixtures carry the corrected sets, which match the stated counts.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 
 from .actions import CyclicAction, egz_factor, invariant_monomials, is_invariant, mu_d
 from .hilbert import (catalog_notes, hf_by_counting, hf_reduced,
@@ -117,18 +118,23 @@ NON_ACM_GENERATORS = ((5, 0, 0), (0, 5, 0), (0, 0, 5), (3, 1, 1), (2, 2, 1),
 # ------------------------------------------------------------------ checks
 
 def _eq(name, got, expected):
-    return CheckResult(name, got == expected,
-                       "" if got == expected else f"got {got!r}, "
-                                                  f"expected {expected!r}")
+    """Pass when got == expected; for two dicts the failure detail lists
+    only the keys whose values differ."""
+    if got == expected:
+        return CheckResult(name, True)
+    if isinstance(got, dict) and isinstance(expected, dict):
+        keys = [k for k in {**expected, **got}
+                if k not in got or k not in expected or got[k] != expected[k]]
+        got = {k: got[k] for k in keys if k in got}
+        expected = {k: expected[k] for k in keys if k in expected}
+    return CheckResult(name, False, f"got {got!r}, expected {expected!r}")
 
 
 def _check_invariant_sets():
-    for (d, weights, t), expected in INVARIANT_SETS.items():
-        got = set(invariant_monomials(CyclicAction(d, weights), t).monomials)
-        if got != expected:
-            return CheckResult("invariant monomial sets", False,
-                               f"(d={d}, t={t}): {sorted(got ^ expected)}")
-    return CheckResult("invariant monomial sets", True)
+    got = {(d, weights, t): set(invariant_monomials(CyclicAction(d, weights),
+                                                    t).monomials)
+           for d, weights, t in INVARIANT_SETS}
+    return _eq("invariant monomial sets", got, INVARIANT_SETS)
 
 
 def _check_mu_d():
@@ -137,13 +143,9 @@ def _check_mu_d():
 
 
 def _check_hf_values():
-    for (d, weights), table in HF_VALUES.items():
-        action = CyclicAction(d, weights)
-        got = {t: hf_by_counting(action, t) for t in table}
-        if got != table:
-            return CheckResult("Hilbert function values", False,
-                               f"{(d, weights)}: got {got}")
-    return CheckResult("Hilbert function values", True)
+    got = {k: {t: hf_by_counting(CyclicAction(*k), t) for t in table}
+           for k, table in HF_VALUES.items()}
+    return _eq("Hilbert function values", got, HF_VALUES)
 
 
 def _check_threefold_b11():
@@ -159,55 +161,41 @@ def _check_cubic_b1():
 
 
 def _check_egz():
+    # each part: its degree and whether it is invariant; then the parts' sum
     action = CyclicAction(3, (0, 1, 2))
+    got, expected = {}, {}
     for v in ((2, 2, 2), (4, 1, 1)):
         parts = egz_factor(action, v)
-        ok = (len(parts) == sum(v) // 3
-              and all(sum(p) == 3 and is_invariant(action, p) for p in parts)
-              and tuple(sum(c) for c in zip(*parts)) == v)
-        if not ok:
-            return CheckResult("EGZ factorization examples", False, f"{v}")
-    return CheckResult("EGZ factorization examples", True)
+        got[v] = ([(sum(p), is_invariant(action, p)) for p in parts],
+                  tuple(sum(c) for c in zip(*parts)))
+        expected[v] = ([(3, True)] * (sum(v) // 3), v)
+    return _eq("EGZ factorization examples", got, expected)
 
 
 def _check_wlp():
-    if not wlp_fails_in_degree(CyclicAction(5, (0, 1, 3)), 4).fails:
-        return CheckResult("WLP failure", False, "(5;0,1,3) in degree 4")
-    check = wlp_fails_in_degree(CyclicAction(3, (0, 1, 2)), 2)
-    if not (check.fails and check.kernel_dimension == 1):
-        return CheckResult("WLP failure", False,
-                           f"(3;0,1,2) kernel {check.kernel_dimension}")
-    return CheckResult("WLP failure", True)
+    quintic = wlp_fails_in_degree(CyclicAction(5, (0, 1, 3)), 4)
+    cubic = wlp_fails_in_degree(CyclicAction(3, (0, 1, 2)), 2)
+    got = (quintic.fails, cubic.fails, cubic.kernel_dimension)
+    return _eq("WLP failure", got, (True, True, 1))
 
 
 def _check_classification_families():
-    actions = [CyclicAction(d, (0, 1, 2)) for d in range(3, 9)]
-    actions.append(CyclicAction(4, (0, 1, 2, 3)))
-    actions += [CyclicAction(n + 1, tuple(range(n + 1))) for n in (2, 3, 4)]
-    for action in actions:
-        result = classify(action)
-        if not result.is_gt_system:
-            return CheckResult("GT classification families", False,
-                               f"{action} not classified as a GT-system")
-    return CheckResult("GT classification families", True)
+    families = [(d, (0, 1, 2)) for d in range(3, 9)] + [(4, (0, 1, 2, 3))]
+    families += [(n + 1, tuple(range(n + 1))) for n in (2, 3, 4)]
+    got = {k: classify(CyclicAction(*k)).is_gt_system for k in families}
+    return _eq("GT classification families", got, dict.fromkeys(got, True))
 
 
 def _check_profiles():
-    got = {}
-    for (a, b, d) in PROFILE_VALUES:
-        p = surface_profile(a, b, d)
-        got[(a, b, d)] = (p.lam, p.mu, p.theta)
-        if not p.consistent:
-            return CheckResult("surface profiles", False,
-                               f"{(a, b, d)} flagged inconsistent")
-    return _eq("surface profiles (lambda, mu, theta)", got, PROFILE_VALUES)
+    got = {k: ((p := surface_profile(*k)).lam, p.mu, p.theta, p.consistent)
+           for k in PROFILE_VALUES}
+    return _eq("surface profiles (lambda, mu, theta)", got,
+               {k: v + (True,) for k, v in PROFILE_VALUES.items()})
 
 
 def _check_surface_invariants():
-    got = {}
-    for (a, b, d) in SURFACE_INVARIANT_VALUES:
-        p = surface_profile(a, b, d)
-        got[(a, b, d)] = (p.mu_d, p.codim, p.cm_type)
+    got = {k: ((p := surface_profile(*k)).mu_d, p.codim, p.cm_type)
+           for k in SURFACE_INVARIANT_VALUES}
     return _eq("surface invariants", got, SURFACE_INVARIANT_VALUES)
 
 
@@ -224,41 +212,33 @@ def _check_series():
 
 
 def _check_betti():
-    for label, ((a, b, d), expected) in BETTI_TABLES.items():
-        table = betti_table(surface_profile(a, b, d))
-        if table.entries != expected:
-            return CheckResult("Betti tables", False,
-                               f"{label}: got {table.entries}")
-        series = series_from_betti(table)
-        if not series.matches_closed_form:
-            return CheckResult("Betti tables", False,
-                               f"{label}: series mismatch")
-    return CheckResult("Betti tables", True)
+    # the ranks, and whether their alternating sum gives the closed form
+    got, expected = {}, {}
+    for label, (key, entries) in BETTI_TABLES.items():
+        table = betti_table(surface_profile(*key))
+        got[label] = (table.entries,
+                      series_from_betti(table).matches_closed_form)
+        expected[label] = (entries, True)
+    return _eq("Betti tables", got, expected)
 
 
 def _check_generator_counts():
     got = {}
     for key in GENERATOR_COUNT_VALUES:
-        counts = generator_counts(surface_profile(*key))
+        counts = generator_counts(betti_table(surface_profile(*key)))
         got[key] = (counts.quadrics, counts.cubics)
     return _eq("generator count formulas", got, GENERATOR_COUNT_VALUES)
 
 
 def _check_cubic_ideal():
-    action = CyclicAction(3, (0, 1, 2))
-    gens = minimal_generators(action)
-    if gens.counts != (0, 1):
-        return CheckResult("cubic surface ideal", False, f"{gens.counts}")
-    ((lhs, rhs),) = gens.cubics
-    # the unique cubic: product of the three pure powers = cube of x0*x1*x2
-    pure = tuple(sorted(i for i, m in enumerate(gens.generators)
-                        if max(m) == 3))
+    # no quadric, and one cubic: the product of the three pure powers
+    # equals the cube of x0*x1*x2
+    gens = minimal_generators(CyclicAction(3, (0, 1, 2)))
+    pure = tuple(i for i, m in enumerate(gens.generators) if max(m) == 3)
     mixed = next(i for i, m in enumerate(gens.generators) if max(m) == 1)
-    expected = tuple(sorted([pure, (mixed,) * 3]))
-    if tuple(sorted([lhs, rhs])) != expected:
-        return CheckResult("cubic surface ideal", False,
-                           f"got {lhs} - {rhs}")
-    return CheckResult("cubic surface ideal", True)
+    got = (len(gens.quadrics), [sorted(cubic) for cubic in gens.cubics])
+    return _eq("cubic surface ideal", got,
+               (0, [sorted([pure, (mixed,) * 3])]))
 
 
 def _check_ideal_dimensions():
@@ -270,103 +250,79 @@ def _check_ideal_dimensions():
 
 
 def _check_h3t_generators():
-    for t, expected in H3T_GENERATORS.items():
-        got = set(make_h3t(t).generators)
-        if got != expected:
-            return CheckResult("shifted family generators", False, f"t={t}")
-    if set(make_hk(2, 1).generators) != HK_2_1_GENERATORS:
-        return CheckResult("shifted family generators", False, "k=2, t'=1")
-    if make_hk(1, 1).generators != make_h3t(2).generators:
-        return CheckResult("shifted family generators", False,
-                           "k=1 does not reduce to the base family")
-    return CheckResult("shifted family generators", True)
+    got = {t: set(make_h3t(t).generators) for t in H3T_GENERATORS}
+    got["hk(2, 1)"] = set(make_hk(2, 1).generators)
+    got["hk(1, 1)"] = make_hk(1, 1).generators
+    return _eq("shifted family generators", got,
+               {**H3T_GENERATORS, "hk(2, 1)": HK_2_1_GENERATORS,
+                "hk(1, 1)": make_h3t(2).generators})
 
 
 def _check_membership_facts():
     h6 = make_h3t(2)
-    expected_false = [(3, 3, 0), (0, 9, 9), (0, 15, 9), (0, 9, 15)]
-    for w in expected_false:
-        if member(h6, w).member:
-            return CheckResult("membership facts", False, f"{w} accepted")
-    if not member(h6, (2, 2, 2)).member:
-        return CheckResult("membership facts", False, "(2,2,2) rejected")
-    return CheckResult("membership facts", True)
+    expected = {(3, 3, 0): False, (0, 9, 9): False, (0, 15, 9): False,
+                (0, 9, 15): False, (2, 2, 2): True}
+    got = {w: member(h6, w).member for w in expected}
+    return _eq("membership facts", got, expected)
 
 
 def _check_normality():
-    report = is_normal_up_to(make_h3t(2), 3)
-    if report.normal_up_to_bound or report.witness != (3, 3, 0):
-        return CheckResult("normality witness", False, f"{report.witness}")
-    if not is_normal_up_to(make_h3t(1), 4).normal_up_to_bound:
-        return CheckResult("normality witness", False, "base family flagged")
-    gt = semigroup_of_action(CyclicAction(5, (0, 1, 3)))
-    if not is_normal_up_to(gt, 4).normal_up_to_bound:
-        return CheckResult("normality witness", False,
-                           "(5;0,1,3) semigroup flagged")
-    return CheckResult("normality witness", True)
+    reports = {"h3t(2)": is_normal_up_to(make_h3t(2), 3),
+               "h3t(1)": is_normal_up_to(make_h3t(1), 4),
+               (5, (0, 1, 3)): is_normal_up_to(
+                   semigroup_of_action(CyclicAction(5, (0, 1, 3))), 4)}
+    got = {k: (r.normal_up_to_bound, r.witness) for k, r in reports.items()}
+    return _eq("normality witness", got,
+               {"h3t(2)": (False, (3, 3, 0)), "h3t(1)": (True, None),
+                (5, (0, 1, 3)): (True, None)})
 
 
 def _check_lemma_two_zero():
-    for t in (1, 2, 3):
-        if not lemma_two_zero_check(t, 18):
-            return CheckResult("one-zero-coordinate membership lemma", False,
-                               f"t={t}")
-    return CheckResult("one-zero-coordinate membership lemma", True)
+    got = {t: lemma_two_zero_check(t, 18) for t in (1, 2, 3)}
+    return _eq("one-zero-coordinate membership lemma", got,
+               dict.fromkeys(got, True))
 
 
 def _check_trung_families():
-    for t in (1, 2, 3, 4):
-        report = trung_cm_check(make_h3t(t), 6)
-        if report.status != "verified-up-to-bound" or not report.hypothesis_ok:
-            return CheckResult("CM certification of the shifted family", False,
-                               f"t={t}: {report.status}")
-    for tp in (0, 1, 2):
-        report = trung_cm_check(make_hk(2, tp), 6)
-        if report.status != "verified-up-to-bound":
-            return CheckResult("CM certification of the shifted family", False,
-                               f"k=2, t'={tp}: {report.status}")
-    return CheckResult("CM certification of the shifted family", True)
+    reports = {f"h3t({t})": trung_cm_check(make_h3t(t), 6)
+               for t in (1, 2, 3, 4)}
+    reports.update({f"hk(2, {tp})": trung_cm_check(make_hk(2, tp), 6)
+                    for tp in (0, 1, 2)})
+    got = {k: (r.status, r.hypothesis_ok) for k, r in reports.items()}
+    return _eq("CM certification of the shifted family", got,
+               dict.fromkeys(got, ("verified-up-to-bound", True)))
 
 
 def _check_trung_gt():
-    for action in (CyclicAction(6, (0, 1, 3)), CyclicAction(5, (0, 1, 3)),
-                   CyclicAction(4, (0, 1, 2, 3))):
-        report = trung_cm_check(semigroup_of_action(action), 6)
-        if report.status != "verified-up-to-bound":
-            return CheckResult("CM certification of GT semigroups", False,
-                               f"{action}: {report.status}")
-    return CheckResult("CM certification of GT semigroups", True)
+    got = {k: trung_cm_check(semigroup_of_action(CyclicAction(*k)), 6).status
+           for k in ((6, (0, 1, 3)), (5, (0, 1, 3)), (4, (0, 1, 2, 3)))}
+    return _eq("CM certification of GT semigroups", got,
+               dict.fromkeys(got, "verified-up-to-bound"))
 
 
 def _check_non_acm_counterexample():
+    # the witness w is outside H, but two of its translates w + f lie in H
+    name = "non-aCM counterexample"
     H = AffineSemigroup.from_generators(NON_ACM_GENERATORS)
     report = trung_cm_check(H, 6)
-    if report.status != "counterexample" or report.witness is None:
-        return CheckResult("non-aCM counterexample", False, report.status)
+    if report.witness is None:
+        return _eq(name, report.status, "counterexample")
     w = report.witness
-    f1, f2, f3 = [H.generators[i] for i in report.f_indices]
-    translates = sum(
-        member(H, tuple(a + b for a, b in zip(w, f))).member
-        for f in (f1, f2, f3))
-    if member(H, w).member or translates < 2:
-        return CheckResult("non-aCM counterexample", False,
-                           f"witness {w} is not valid")
-    return CheckResult("non-aCM counterexample", True)
+    translates = sum(member(H, tuple(map(add, w, H.generators[i]))).member
+                     for i in report.f_indices)
+    got = (report.status, member(H, w).member, translates >= 2)
+    return _eq(name, got, ("counterexample", False, True))
 
 
 def _check_catalog_notes():
-    for (a, b, d) in ((1, 3, 6), (1, 4, 8)):
-        profile = surface_profile(a, b, d)
-        if not profile.consistent:
-            return CheckResult("published catalogue notes", False,
-                               f"{(a, b, d)} internally inconsistent")
-        if not catalog_notes(profile):
-            return CheckResult("published catalogue notes", False,
-                               f"no note for {(a, b, d)}")
-    if catalog_notes(surface_profile(1, 2, 6)):
-        return CheckResult("published catalogue notes", False,
-                           "spurious note for (1, 2, 6)")
-    return CheckResult("published catalogue notes", True)
+    got = {}
+    for key in ((1, 3, 6), (1, 4, 8)):
+        profile = surface_profile(*key)
+        got[key] = (profile.consistent, bool(catalog_notes(profile)))
+    got[(1, 2, 6)] = bool(catalog_notes(surface_profile(1, 2, 6)))
+    return _eq("published catalogue notes", got,
+               {(1, 3, 6): (True, True), (1, 4, 8): (True, True),
+                (1, 2, 6): False})
 
 
 CHECKS = [

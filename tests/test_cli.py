@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from gt_toolkit import cli, togliatti, toricideal, verify
+from gt_toolkit import cli, resolution, togliatti, toricideal, verify
 from gt_toolkit.actions import CyclicAction, mu_d
 from gt_toolkit.hilbert import hf_closed_form, surface_profile
 from gt_toolkit.semigroups import make_hk
@@ -234,7 +235,7 @@ def _during(check, callee, alter):
     return mutate
 
 
-def _unless(condition, change):
+def _when(condition, change):
     return lambda result, *args: (change(result) if condition(*args)
                                   else result)
 
@@ -262,18 +263,18 @@ REFERENCE_MUTATIONS = [
                  None, id="cubic_b1"),
     pytest.param("EGZ factorization examples",
                  _during("egz", "egz_factor",
-                         _unless(lambda action, v: v == (4, 1, 1),
-                                 lambda parts: parts[:-1])),
+                         _when(lambda action, v: v == (4, 1, 1),
+                               lambda parts: parts[:-1])),
                  (4, 1, 1), id="egz"),
     pytest.param("WLP failure",
                  _during("wlp", "wlp_fails_in_degree",
-                         _unless(lambda action, j: action.d == 3,
-                                 lambda c: replace(c, kernel_dimension=2))),
+                         _when(lambda action, j: action.d == 3,
+                               lambda c: replace(c, kernel_dimension=2))),
                  None, id="wlp"),
     pytest.param("GT classification families",
                  _during("classification_families", "classify",
-                         _unless(lambda action: action.d == 6,
-                                 lambda r: replace(r, is_gt_system=False))),
+                         _when(lambda action: action.d == 6,
+                               lambda r: replace(r, is_gt_system=False))),
                  (6, (0, 1, 2)), id="classification_families"),
     pytest.param("surface profiles (lambda, mu, theta)",
                  _fixture("PROFILE_VALUES", (3, 5, 8), (7, -2, 5)),
@@ -311,14 +312,14 @@ REFERENCE_MUTATIONS = [
                  3, id="h3t_generators"),
     pytest.param("membership facts",
                  _during("membership_facts", "member",
-                         _unless(lambda H, w: w == (0, 15, 9),
-                                 lambda m: replace(m, member=True))),
+                         _when(lambda H, w: w == (0, 15, 9),
+                               lambda m: replace(m, member=True))),
                  (0, 15, 9), id="membership_facts"),
     pytest.param("normality witness",
                  _during("normality", "is_normal_up_to",
-                         _unless(lambda H, bound: H.degree == 5,
-                                 lambda r: replace(r, normal_up_to_bound=False,
-                                                   witness=(5, 5, 5)))),
+                         _when(lambda H, bound: H.degree == 5,
+                               lambda r: replace(r, normal_up_to_bound=False,
+                                                 witness=(5, 5, 5)))),
                  (5, (0, 1, 3)), id="normality"),
     pytest.param("one-zero-coordinate membership lemma",
                  _during("lemma_two_zero", "lemma_two_zero_check",
@@ -326,13 +327,13 @@ REFERENCE_MUTATIONS = [
                  2, id="lemma_two_zero"),
     pytest.param("CM certification of the shifted family",
                  _during("trung_families", "trung_cm_check",
-                         _unless(lambda H, bound: H == make_hk(2, 2),
-                                 lambda r: replace(r, status="counterexample"))),
+                         _when(lambda H, bound: H == make_hk(2, 2),
+                               lambda r: replace(r, status="counterexample"))),
                  "hk(2, 2)", id="trung_families"),
     pytest.param("CM certification of GT semigroups",
                  _during("trung_gt", "trung_cm_check",
-                         _unless(lambda H, bound: H.degree == 5,
-                                 lambda r: replace(r, status="counterexample"))),
+                         _when(lambda H, bound: H.degree == 5,
+                               lambda r: replace(r, status="counterexample"))),
                  (5, (0, 1, 3)), id="trung_gt"),
     pytest.param("non-aCM counterexample",
                  _during("non_acm_counterexample", "member",
@@ -358,11 +359,17 @@ def test_each_reference_check_reports_its_own_failure(capsys, monkeypatch,
     assert status == 3
     failed = [l for l in out.splitlines() if l.startswith("FAIL")]
     assert len(failed) == 1
-    assert failed[0].startswith(f"FAIL  {name}  [")
+    assert failed[0].startswith(f"FAIL  {name}  [got ")
     status, out, _ = run(capsys, "verify-paper", "--format", "json")
     report = json.loads(out)
     assert status == 3
     assert (report["failed"], report["passed"]) == (1, 23)
+    # a check that compares dicts shows only the entry that differs
+    (check,) = [c for c in report["checks"] if not c["ok"]]
+    got, expected = check["detail"].removeprefix("got ").split(", expected ")
+    if key is not None:
+        assert list(ast.literal_eval(got)) == [key], check["detail"]
+        assert list(ast.literal_eval(expected)) == [key], check["detail"]
 
 
 def test_output_does_not_depend_on_the_hash_seed():
@@ -475,6 +482,22 @@ def test_classify_ranks_once(capsys, monkeypatch):
     assert all(len(row) <= comb(5 + 1, 1) for row in rows)
 
 
+def test_betti_builds_one_table(capsys, monkeypatch):
+    # generator_counts checks its counts against the table it is given
+    calls = []
+    real_table = resolution.betti_table
+
+    def counting_table(profile):
+        calls.append(profile)
+        return real_table(profile)
+
+    monkeypatch.setattr(cli, "betti_table", counting_table)
+    monkeypatch.setattr(resolution, "betti_table", counting_table)
+    status, _, _ = run(capsys, "betti", "1", "4", "8")
+    assert status == 0
+    assert len(calls) == 1
+
+
 def _nested_action(depth):
     # the action (5; 0,1,3) with an extra value that brings the whole
     # file to the given nesting depth; brackets inside strings, escaped
@@ -497,7 +520,7 @@ CUBIC_FILE = {"dim": 3, "generators": [[5, 0, 0], [0, 5, 0], [0, 0, 5],
     "k-devanagari-digit", "tprime-underscore", "bound-arabic-digit",
     "semigroup-bound-underscore", "semigroup-deep-json", "ideal-deep-json",
     "action-over-depth-limit", "member-empty", "output-empty",
-    "file-empty-with-inline",
+    "file-empty-with-inline", "action-not-object",
 ])
 def test_bad_input_never_ends_in_traceback(tmp_path, capsys, case):
     # every failure is one "error:" line on stderr, exit 1, no report
@@ -512,6 +535,8 @@ def test_bad_input_never_ends_in_traceback(tmp_path, capsys, case):
     deep.write_text("[" * 100_000)
     nested = tmp_path / "nested.json"
     nested.write_text(_nested_action(cli.JSON_MAX_DEPTH + 1))
+    listed = tmp_path / "listed.json"
+    listed.write_text("[1, 2]")
     argv = {
         "missing-file": ["semigroup", str(tmp_path / "absent.json")],
         "directory-input": ["classify", "--file", str(tmp_path)],
@@ -549,6 +574,7 @@ def test_bad_input_never_ends_in_traceback(tmp_path, capsys, case):
         "member-empty": ["semigroup", str(semigroup), "--member", ""],
         "output-empty": ["classify", "5", "0,1,3", "--output", ""],
         "file-empty-with-inline": ["invariants", "3", "0,1,2", "--file", ""],
+        "action-not-object": ["classify", "--file", str(listed)],
     }[case]
     status, out, err = run(capsys, *argv)
     assert (status, out) == (1, "")
@@ -570,6 +596,12 @@ def test_bad_input_never_ends_in_traceback(tmp_path, capsys, case):
             run(capsys, "classify", "5", "0,1,3")
     if case == "file-empty-with-inline":
         assert err == "error: give either d and weights or --file, not both\n"
+    if case == "action-not-object":
+        assert err == ("error: malformed action input: need a JSON object "
+                       "with d and weights\n")
+        for text in ('"abc"', '{"d": 5}'):
+            listed.write_text(text)
+            assert run(capsys, "classify", "--file", str(listed))[2] == err
 
 
 def test_signed_ascii_integers_still_parse(capsys):

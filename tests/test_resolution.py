@@ -1,8 +1,10 @@
+from dataclasses import replace
 from math import gcd
 
 import pytest
 
 from gt_toolkit.actions import CyclicAction
+from gt_toolkit.exactalg import InternalDiscrepancy
 from gt_toolkit.hilbert import hilbert_series, surface_profile
 from gt_toolkit.resolution import (betti_table, generator_counts,
                                    series_from_betti)
@@ -49,23 +51,28 @@ def test_betti_structure():
 
 
 def test_generator_count_goldens():
-    counts = generator_counts(surface_profile(1, 2, 3))
-    assert (counts.quadrics, counts.cubics) == (0, 1)
-    counts = generator_counts(surface_profile(1, 3, 6))
-    assert (counts.quadrics, counts.cubics) == (9, 0)
-    counts = generator_counts(surface_profile(1, 3, 5))
-    assert (counts.quadrics, counts.cubics) == (1, 2)
+    for triple, expected in (((1, 2, 3), (0, 1)), ((1, 3, 6), (9, 0)),
+                             ((1, 3, 5), (1, 2))):
+        counts = generator_counts(betti_table(surface_profile(*triple)))
+        assert (counts.quadrics, counts.cubics) == expected
 
 
 def test_generator_counts_match_first_column():
     for triple in surface_triples(12):
         profile = surface_profile(*triple)
         table = betti_table(profile)
-        counts = generator_counts(profile)
+        counts = generator_counts(table)
         assert counts.quadrics == table.rank(1, 1)
         assert counts.cubics == table.rank(1, 2)
         if profile.theta >= 4:
             assert counts.cubics == 0
+
+
+def test_generator_counts_check_the_given_table():
+    table = betti_table(surface_profile(1, 3, 6))
+    wrong = replace(table, entries={**table.entries, (1, 1): 8})
+    with pytest.raises(InternalDiscrepancy):
+        generator_counts(wrong)
 
 
 def test_first_betti_via_fibers_goldens():
@@ -88,7 +95,8 @@ def test_first_betti_equals_quadric_rank_identity():
         profile = surface_profile(*triple)
         via_fibers = fiber_partition(profile.action).relation_count
         assert via_fibers == ideal_dimension(profile.action, 2), triple
-        assert via_fibers == generator_counts(profile).quadrics, triple
+        counts = generator_counts(betti_table(profile))
+        assert via_fibers == counts.quadrics, triple
 
 
 def test_series_from_betti_goldens():
