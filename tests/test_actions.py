@@ -258,6 +258,30 @@ def test_egz_contract_sweep():
                 assert tuple(map(sum, zip(*parts))) == v
 
 
+def test_egz_parts_are_lex_largest_generators():
+    # each part is the lex-largest degree-d invariant below what remains,
+    # found here by scanning every degree-d vector, lex descending
+    cases = [(action, t) for action in surface_actions(8) for t in (2, 3, 4)]
+    cases += [(CyclicAction(d, (0,) + rest), t)
+              for d in range(3, 7)
+              for rest in combinations_with_replacement(range(d), 3)
+              if gcd(*rest, d) == 1
+              for t in (2, 3)]
+    cases += [(CyclicAction(6, (0, 0, 1)), t) for t in (2, 3, 4)]
+    cases += [(CyclicAction(5, (1, 2, 3)), t) for t in (2, 3, 4)]
+    for action, t in cases:
+        below = [b for b in _vectors(action.nvars, action.d)
+                 if is_invariant(action, b)]
+        for v in invariant_monomials(action, t).monomials:
+            rest = v
+            for part in egz_factor(action, v):
+                assert part == next(
+                    b for b in below
+                    if all(map(int.__le__, b, rest))), (action, v)
+                rest = tuple(r - p for r, p in zip(rest, part))
+            assert not any(rest), (action, v)
+
+
 def test_egz_nonzero_first_weight():
     action = CyclicAction(5, (1, 2, 3))
     for v in invariant_monomials(action, 2).monomials:

@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import json
 import os
 import subprocess
@@ -10,7 +11,8 @@ from pathlib import Path
 import pytest
 
 from gt_toolkit import cli, resolution, togliatti, toricideal, verify
-from gt_toolkit.actions import CyclicAction, mu_d
+from gt_toolkit.actions import (CyclicAction, format_monomial,
+                                invariant_monomials, mu_d)
 from gt_toolkit.hilbert import hf_closed_form, surface_profile
 from gt_toolkit.semigroups import make_hk
 
@@ -60,6 +62,46 @@ def test_deterministic_output(capsys):
     _, first, _ = run(capsys, "ideal", "6", "0,1,3")
     _, second, _ = run(capsys, "ideal", "6", "0,1,3")
     assert first == second
+
+
+# sha256 of the invariants report, pinned from the enumerator's output
+INVARIANTS_REPORTS = {
+    ("8", "0,3,5", "3", "table"):
+        "d1f9ec0bce62b06f1540936189ca979a25d54e45baa98fe8a1787e505f74170e",
+    ("8", "0,3,5", "3", "json"):
+        "3e0266e47295174ade3677706f6dbff932b3816a8de465f7662035165af723b2",
+    ("4", "0,1,2,3", "2", "table"):
+        "619e1a7b9c927ab787661bdec64dd33fc8d9f1d390fdbd99738d42d24927c5b8",
+    ("4", "0,1,2,3", "2", "json"):
+        "d87b02ea8352298eafacce6b09de3dd394cab04acf6effd3d1e0711b63758888",
+}
+
+
+@pytest.mark.parametrize("d, weights, horizon, fmt", INVARIANTS_REPORTS)
+def test_invariants_report(capsys, d, weights, horizon, fmt):
+    status, out, _ = run(capsys, "invariants", d, weights, "--t", horizon,
+                         "--format", fmt)
+    assert status == 0
+    action = CyclicAction(int(d), tuple(map(int, weights.split(","))))
+    if fmt == "json":
+        entries = [(e["t"], e["degree"], e["count"],
+                    tuple(map(tuple, e["monomials"])))
+                   for e in json.loads(out)["invariants"]]
+    else:
+        lines = out.splitlines()[1:]
+        entries = []
+        for head, pretty in zip(lines[::2], lines[1::2]):
+            t, degree, count = (int(f.split("=")[1]) for f in head.split())
+            entries.append((t, degree, count, pretty.split()))
+    assert [e[0] for e in entries] == list(range(1, int(horizon) + 1))
+    for t, degree, count, monomials in entries:
+        assert degree == t * action.d
+        assert count == len(monomials)
+        expected = invariant_monomials(action, t).monomials
+        assert monomials == (expected if fmt == "json" else
+                             [format_monomial(m) for m in expected])
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == INVARIANTS_REPORTS[d, weights, horizon, fmt]
 
 
 def test_usage_errors(capsys):
