@@ -3,7 +3,6 @@
 from .actions import (
     CyclicAction,
     ExponentVector,
-    InvariantBasis,
     count_invariants,
     degree,
     egz_factor,

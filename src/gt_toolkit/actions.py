@@ -4,8 +4,10 @@ A monomial x0^a0 ... xn^an is invariant under the order-d action with
 weight vector (w0, ..., wn) exactly when w0*a0 + ... + wn*an is divisible
 by d.  This module enumerates and counts the invariant monomials of
 degree t*d and factors any such monomial into t invariant factors of
-degree d (a zero-sum subsequence argument guarantees this is always
-possible).
+degree d.  The factors always exist: by the Erdos-Ginzburg-Ziv theorem
+(Bull. Res. Council Israel 10F, 1961) any 2d-1 residues mod d hold d
+that sum to 0 mod d, so an invariant of degree at least 2d has a
+degree-d invariant below it.  egz_factor peels off the lex-largest one.
 
 One iterative walker, _compositions, feeds exponent_vectors,
 invariant_monomials and count_invariants.
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import le
 
 from .exactalg import InternalDiscrepancy, exact_int
 
@@ -93,27 +96,6 @@ def format_monomial(v: ExponentVector) -> str:
     return "*".join(parts) if parts else "1"
 
 
-@dataclass(frozen=True)
-class InvariantBasis:
-    """All invariant monomials of degree t*d, in canonical order.
-
-    Canonical order is lexicographic descending on exponent tuples;
-    the list is duplicate-free by construction.
-    """
-
-    action: CyclicAction
-    t: int
-    monomials: tuple[ExponentVector, ...]
-
-    @property
-    def count(self) -> int:
-        return len(self.monomials)
-
-    @property
-    def degree(self) -> int:
-        return self.t * self.action.d
-
-
 def _compositions(weights: tuple[int, ...], total: int):
     """Yield (prefix, rest, wsum) for each nonnegative prefix of
     len(weights) coordinates summing to at most total, lex descending:
@@ -147,10 +129,13 @@ def exponent_vectors(nvars: int, total: int) -> list[ExponentVector]:
             for y in range(rest, -1, -1)]
 
 
-def invariant_monomials(action: CyclicAction, t: int) -> InvariantBasis:
-    """Enumerate the degree t*d invariant monomials, lex descending; the
-    walker fixes all but the last two coordinates, which solve a
-    congruence, stepped by d/gcd."""
+def invariant_monomials(action: CyclicAction,
+                        t: int) -> tuple[ExponentVector, ...]:
+    """The degree t*d invariant monomials, lex descending and duplicate
+    free; the walker fixes all but the last two coordinates, which solve
+    a congruence, stepped by d/gcd.  At t = 1 these are the generators,
+    and the first one below v is the lex-largest degree-d invariant
+    below v, the part egz_factor peels off."""
     if t < 1:
         raise ValueError("t must be at least 1")
     d = action.d
@@ -166,7 +151,7 @@ def invariant_monomials(action: CyclicAction, t: int) -> InvariantBasis:
         # the largest y <= rest in the class of y0, down to y0
         for y in range(rest - (rest - y0) % step, -1, -step):
             out.append(prefix + (y, rest - y))
-    return InvariantBasis(action, t, tuple(out))
+    return tuple(out)
 
 
 def _congruence(a: int, mod: int) -> tuple[int, dict[int, int]]:
@@ -202,47 +187,12 @@ def mu_d(action: CyclicAction) -> int:
     return count_invariants(action, 1)
 
 
-def _zero_sum_part(action: CyclicAction, v: ExponentVector) -> ExponentVector:
-    """A sub-vector b <= v of degree d whose weighted sum vanishes mod d.
-
-    Reachability of (count, residue) states is tabulated from the last
-    variable backwards, then the split is rebuilt greedily so smaller
-    variable indices carry as much as possible.  A size-d zero-sum
-    sub-multiset always exists once degree(v) >= 2d.
-    """
-    d = action.d
-    w = action.weights
-    nv = action.nvars
-    # tail[i] = set of (count, residue) realizable using variables i..n
-    tail = [None] * (nv + 1)
-    tail[nv] = {(0, 0)}
-    for i in range(nv - 1, -1, -1):
-        reach = set()
-        for count, res in tail[i + 1]:
-            for b in range(0, min(v[i], d - count) + 1):
-                reach.add((count + b, (res + w[i] * b) % d))
-        tail[i] = reach
-    if (d, 0) not in tail[0]:
-        raise InternalDiscrepancy("no zero-sum split found; input was not "
-                                  "a degree-multiple invariant")
-    part = [0] * nv
-    count, res = d, 0
-    for i in range(nv):
-        for b in range(min(v[i], count), -1, -1):
-            need = (res - w[i] * b) % d
-            if (count - b, need) in tail[i + 1]:
-                part[i] = b
-                count -= b
-                res = need
-                break
-    return tuple(part)
-
-
 def egz_factor(action: CyclicAction, v: ExponentVector) -> list[ExponentVector]:
     """Split a degree t*d invariant into t invariant factors of degree d.
 
-    The parts sum coordinatewise to v.  Any valid factorization is a
-    correct answer; this one is deterministic.
+    The parts sum coordinatewise to v.  Each part is the lex-largest
+    generator below what remains of v; by Erdos-Ginzburg-Ziv one exists
+    while the remainder has degree at least 2d.
     """
     if len(v) != action.nvars:
         raise ValueError("exponent vector length does not match the action")
@@ -254,10 +204,13 @@ def egz_factor(action: CyclicAction, v: ExponentVector) -> list[ExponentVector]:
         raise ValueError(f"degree {total} is not a positive multiple of d={d}")
     if not is_invariant(action, v):
         raise ValueError(f"{v} is not invariant under the action")
+    gens = invariant_monomials(action, 1)
     parts = []
     rest = v
     while degree(rest) > d:
-        piece = _zero_sum_part(action, rest)
+        piece = next((g for g in gens if all(map(le, g, rest))), None)
+        if piece is None:
+            raise InternalDiscrepancy(f"no generator divides {rest}")
         parts.append(piece)
         rest = tuple(r - p for r, p in zip(rest, piece))
     parts.append(rest)

@@ -185,13 +185,13 @@ def _cmd_invariants(args):
         raise _UsageError("--t must be at least 1")
     per_degree = []
     for t in range(1, args.horizon + 1):
-        basis = invariant_monomials(action, t)
+        monomials = invariant_monomials(action, t)
         per_degree.append({
             "t": t,
-            "degree": basis.degree,
-            "count": basis.count,
-            "monomials": [list(m) for m in basis.monomials],
-            "pretty": [format_monomial(m) for m in basis.monomials],
+            "degree": t * action.d,
+            "count": len(monomials),
+            "monomials": [list(m) for m in monomials],
+            "pretty": [format_monomial(m) for m in monomials],
         })
     report = {"action": action.to_dict(), "invariants": per_degree}
     lines = [f"action: d={action.d} weights={','.join(map(str, action.weights))}"]

@@ -104,8 +104,7 @@ class AffineSemigroup:
 
 def semigroup_of_action(action: CyclicAction) -> AffineSemigroup:
     """The semigroup generated by the degree-d invariant monomials."""
-    gens = invariant_monomials(action, 1).monomials
-    return AffineSemigroup.from_generators(gens)
+    return AffineSemigroup.from_generators(invariant_monomials(action, 1))
 
 
 def make_h3t(t: int) -> AffineSemigroup:

@@ -56,7 +56,7 @@ def wlp_fails_in_degree(action: CyclicAction, j: int) -> WlpCheck:
         raise ValueError("degree must be nonnegative")
     n = action.n
     # I_j and I_{j+1}: I_t is the generators times R_{t-d}, empty below d
-    gens = invariant_monomials(action, 1).monomials
+    gens = invariant_monomials(action, 1)
     lower, ideal = ({tuple(map(add, g, e))
                      for e in exponent_vectors(n + 1, t - action.d)
                      for g in gens} for t in (j, j + 1))

@@ -34,7 +34,6 @@ Binomial = tuple[tuple[int, ...], tuple[int, ...]]
 class FiberPartition:
     """Generator pairs grouped by product monomial."""
 
-    action: CyclicAction
     generators: tuple[ExponentVector, ...]
     fibers: dict
 
@@ -49,13 +48,13 @@ def fiber_partition(action: CyclicAction) -> FiberPartition:
     Pairs come out lex ascending within each fiber, and the fibers are
     ordered lex descending by product.
     """
-    gens = invariant_monomials(action, 1).monomials
+    gens = invariant_monomials(action, 1)
     groups: dict = {}
     for i, g in enumerate(gens):
         for k in range(i, len(gens)):
             groups.setdefault(tuple(map(add, g, gens[k])), []).append((i, k))
     ordered = {p: tuple(groups[p]) for p in sorted(groups, reverse=True)}
-    return FiberPartition(action, gens, ordered)
+    return FiberPartition(gens, ordered)
 
 
 def ideal_dimension(action: CyclicAction, j: int) -> int:
@@ -82,7 +81,6 @@ class BinomialGeneratorSet:
     completeness is only claimed through the verified degree.
     """
 
-    action: CyclicAction
     generators: tuple[ExponentVector, ...]
     quadrics: tuple[Binomial, ...]
     cubics: tuple[Binomial, ...]
@@ -156,9 +154,9 @@ def minimal_generators(action: CyclicAction) -> BinomialGeneratorSet:
     cubics, deficit = [], 0
     for j in (3, 4):
         basis = invariant_monomials(action, j)
-        if basis.count != count_invariants(action, j):
+        if len(basis) != count_invariants(action, j):
             raise InternalDiscrepancy(f"degree-{j} invariants miscounted")
-        for b in basis.monomials:
+        for b in basis:
             if not (vertices := reduce(and_, map(getitem, below, b))):
                 raise InternalDiscrepancy(f"no generator divides {b}")
 
@@ -178,7 +176,6 @@ def minimal_generators(action: CyclicAction) -> BinomialGeneratorSet:
                 cubics.extend((leaders[0], other) for other in leaders[1:])
 
     return BinomialGeneratorSet(
-        action=action,
         generators=gens,
         quadrics=tuple(quadrics),
         cubics=tuple(cubics),

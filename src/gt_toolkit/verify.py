@@ -131,9 +131,8 @@ def _eq(name, got, expected):
 
 
 def _check_invariant_sets():
-    got = {(d, weights, t): set(invariant_monomials(CyclicAction(d, weights),
-                                                    t).monomials)
-           for d, weights, t in INVARIANT_SETS}
+    got = {(d, w, t): set(invariant_monomials(CyclicAction(d, w), t))
+           for d, w, t in INVARIANT_SETS}
     return _eq("invariant monomial sets", got, INVARIANT_SETS)
 
 
@@ -180,8 +179,8 @@ def _check_wlp():
 
 
 def _check_classification_families():
-    families = [(d, (0, 1, 2)) for d in range(3, 9)] + [(4, (0, 1, 2, 3))]
-    families += [(n + 1, tuple(range(n + 1))) for n in (2, 3, 4)]
+    families = [(d, (0, 1, 2)) for d in range(3, 9)]
+    families += [(n + 1, tuple(range(n + 1))) for n in (3, 4)]
     got = {k: classify(CyclicAction(*k)).is_gt_system for k in families}
     return _eq("GT classification families", got, dict.fromkeys(got, True))
 

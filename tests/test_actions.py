@@ -9,10 +9,12 @@ from pathlib import Path
 import pytest
 
 import gt_toolkit
+from gt_toolkit import actions
 from gt_toolkit.actions import (CyclicAction, count_invariants, degree,
                                 egz_factor, exponent_vectors,
                                 format_monomial, invariant_monomials,
                                 is_invariant, mu_d)
+from gt_toolkit.exactalg import InternalDiscrepancy
 
 
 def surface_actions(max_d):
@@ -76,12 +78,12 @@ def test_walker_needs_no_recursion_depth():
     sys.setrecursionlimit(len(inspect.stack(0)) + 40)
     try:
         vectors = exponent_vectors(60, 2)
-        basis = invariant_monomials(action, 1)
+        monomials = invariant_monomials(action, 1)
         count = count_invariants(action, 1)
     finally:
         sys.setrecursionlimit(limit)
-    assert basis.monomials == tuple(vectors)
-    assert count == basis.count == 1830
+    assert monomials == tuple(vectors)
+    assert count == len(monomials) == 1830
 
 
 def test_no_function_in_the_package_calls_itself():
@@ -131,21 +133,20 @@ def test_every_module_level_definition_is_used():
 
 def test_invariant_monomials_goldens():
     got = invariant_monomials(CyclicAction(5, (0, 1, 3)), 1)
-    assert set(got.monomials) == {(5, 0, 0), (0, 5, 0), (0, 0, 5),
-                                  (2, 2, 1), (1, 1, 3)}
-    assert got.count == 5
+    assert set(got) == {(5, 0, 0), (0, 5, 0), (0, 0, 5), (2, 2, 1), (1, 1, 3)}
+    assert len(got) == 5
     got = invariant_monomials(CyclicAction(8, (0, 3, 5)), 1)
-    assert set(got.monomials) == {(8, 0, 0), (6, 1, 1), (4, 2, 2), (0, 8, 0),
-                                  (2, 3, 3), (0, 4, 4), (0, 0, 8)}
+    assert set(got) == {(8, 0, 0), (6, 1, 1), (4, 2, 2), (0, 8, 0),
+                        (2, 3, 3), (0, 4, 4), (0, 0, 8)}
     sextics = invariant_monomials(CyclicAction(3, (0, 1, 2)), 2)
-    assert sextics.count == 10
-    assert (4, 1, 1) in sextics.monomials and (2, 2, 2) in sextics.monomials
+    assert len(sextics) == 10
+    assert (4, 1, 1) in sextics and (2, 2, 2) in sextics
 
 
 def test_invariant_monomials_canonical_order():
     for action in [CyclicAction(6, (0, 1, 3)), CyclicAction(5, (0, 2, 3))]:
         for t in (1, 2):
-            monomials = invariant_monomials(action, t).monomials
+            monomials = invariant_monomials(action, t)
             assert list(monomials) == sorted(monomials, reverse=True)
             assert len(set(monomials)) == len(monomials)
 
@@ -167,7 +168,7 @@ def test_invariant_monomials_match_filtered_exponent_vectors():
             expected = tuple(
                 v for v in _vectors(action.nvars, t * action.d)
                 if is_invariant(action, v))
-            assert invariant_monomials(action, t).monomials == expected, \
+            assert invariant_monomials(action, t) == expected, \
                 (action, t)
 
 
@@ -186,7 +187,7 @@ def test_count_matches_enumeration_surfaces():
     for action in surface_actions(12):
         for t in (1, 2, 3):
             assert count_invariants(action, t) == \
-                invariant_monomials(action, t).count
+                len(invariant_monomials(action, t))
 
 
 def test_count_matches_brute_force_general_n():
@@ -246,10 +247,20 @@ def test_egz_errors():
         egz_factor(action, (0, 0, 0))
 
 
+def test_egz_without_a_generator_below_is_a_discrepancy(monkeypatch):
+    # the parts come from the enumerated generators; a list missing the
+    # one below the remainder is an internal fault, not a bad input
+    action = CyclicAction(3, (0, 1, 2))
+    monkeypatch.setattr(actions, "invariant_monomials",
+                        lambda action, t: ((3, 0, 0), (0, 3, 0), (0, 0, 3)))
+    with pytest.raises(InternalDiscrepancy):
+        egz_factor(action, (2, 2, 2))
+
+
 def test_egz_contract_sweep():
     for action in surface_actions(8):
         for t in (2, 3):
-            for v in invariant_monomials(action, t).monomials:
+            for v in invariant_monomials(action, t):
                 parts = egz_factor(action, v)
                 assert len(parts) == t
                 for p in parts:
@@ -272,7 +283,7 @@ def test_egz_parts_are_lex_largest_generators():
     for action, t in cases:
         below = [b for b in _vectors(action.nvars, action.d)
                  if is_invariant(action, b)]
-        for v in invariant_monomials(action, t).monomials:
+        for v in invariant_monomials(action, t):
             rest = v
             for part in egz_factor(action, v):
                 assert part == next(
@@ -284,7 +295,7 @@ def test_egz_parts_are_lex_largest_generators():
 
 def test_egz_nonzero_first_weight():
     action = CyclicAction(5, (1, 2, 3))
-    for v in invariant_monomials(action, 2).monomials:
+    for v in invariant_monomials(action, 2):
         parts = egz_factor(action, v)
         assert len(parts) == 2
         assert all(is_invariant(action, p) for p in parts)

@@ -97,7 +97,7 @@ def test_invariants_report(capsys, d, weights, horizon, fmt):
     for t, degree, count, monomials in entries:
         assert degree == t * action.d
         assert count == len(monomials)
-        expected = invariant_monomials(action, t).monomials
+        expected = invariant_monomials(action, t)
         assert monomials == (expected if fmt == "json" else
                              [format_monomial(m) for m in expected])
     digest = hashlib.sha256(out.encode()).hexdigest()
@@ -234,7 +234,7 @@ def test_graph_check_failure_exits_with_discrepancy(capsys, monkeypatch,
             if j != t:
                 return basis
             zero = (0,) * action.nvars
-            return replace(basis, monomials=basis.monomials[:-1] + (zero,))
+            return basis[:-1] + (zero,)
 
         monkeypatch.setattr(toricideal, "invariant_monomials", isolated)
     status, out, err = run(capsys, "ideal", "5", "0,1,3")
@@ -412,6 +412,15 @@ def test_each_reference_check_reports_its_own_failure(capsys, monkeypatch,
     if key is not None:
         assert list(ast.literal_eval(got)) == [key], check["detail"]
         assert list(ast.literal_eval(expected)) == [key], check["detail"]
+
+
+def test_classification_families_classify_each_action_once(monkeypatch):
+    calls = []
+    real = verify.classify
+    monkeypatch.setattr(verify, "classify",
+                        lambda action: calls.append(action) or real(action))
+    assert verify._check_classification_families().ok
+    assert len(calls) == len(set(calls)) == 8
 
 
 def test_output_does_not_depend_on_the_hash_seed():

@@ -118,7 +118,7 @@ def test_triple_agreement_sweep():
 def test_mu_d_formula_equals_enumeration():
     for (a, b, d) in surface_triples(12):
         p = surface_profile(a, b, d)
-        count = invariant_monomials(p.action, 1).count
+        count = len(invariant_monomials(p.action, 1))
         assert p.mu_d == count
         assert (d + p.theta + 2) // 2 == count
 

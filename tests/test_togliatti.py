@@ -41,7 +41,7 @@ def test_wlp_goldens():
 
 def _quotient_basis(action, j):
     # the degree-j monomials no generator divides, lex descending
-    gens = invariant_monomials(action, 1).monomials
+    gens = invariant_monomials(action, 1)
     return [m for m in exponent_vectors(action.nvars, j)
             if not any(all(map(int.__le__, g, m)) for g in gens)]
 

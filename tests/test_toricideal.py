@@ -55,7 +55,7 @@ def _multiset_fibers(action, j):
     product is one addition away from its parent's.  The levels are
     chained generators: only the fibers are ever held in memory.
     """
-    gens = invariant_monomials(action, 1).monomials
+    gens = invariant_monomials(action, 1)
     level = (((i,), g) for i, g in enumerate(gens))
     for _ in range(j - 1):
         level = ((multiset + (i,), tuple(map(add, product, gens[i])))
@@ -78,7 +78,7 @@ def test_fiber_partition_goldens():
     assert len(nontrivial) == 1
     product, multisets = nontrivial[0]
     assert product == (3, 3, 3)
-    gens = invariant_monomials(a312, 1).monomials
+    gens = invariant_monomials(a312, 1)
     pure = tuple(sorted(i for i, m in enumerate(gens) if max(m) == 3))
     mixed = next(i for i, m in enumerate(gens) if max(m) == 1)
     assert set(multisets) == {pure, (mixed,) * 3}
@@ -249,9 +249,8 @@ def _multiset_route(action):
         cubics.extend((lead[0], other) for other in lead[1:])
     deficit = sum(len(leaders(ms)) - 1
                   for ms in _multiset_fibers(action, 4).values())
-    gens = invariant_monomials(action, 1).monomials
-    return BinomialGeneratorSet(action, gens, tuple(quadrics), tuple(cubics),
-                                deficit)
+    gens = invariant_monomials(action, 1)
+    return BinomialGeneratorSet(gens, tuple(quadrics), tuple(cubics), deficit)
 
 
 def action_classes(nvars, max_d):
