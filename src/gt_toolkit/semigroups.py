@@ -22,18 +22,24 @@ Cohen-Macaulayness is certified through the one-dimensional test set
 which equals H exactly when the semigroup ring is Cohen-Macaulay.  The
 test set is infinite, so the certificate is bounded: "verified up to
 degree D" scans every graded level through D and never claims more.  A
-counterexample witness, by contrast, is unconditional.  The scans build
-only lattice points, walking a trie of the Apery residue keys, and read
-the Apery classes directly: w and its translates w + g*e_k share one,
-so one walk over that class decides w and all its translates.
+counterexample witness, by contrast, is unconditional.  The scans go
+level by level and, within a level, Apery class by Apery class: the
+points of the class with residue key r are r + g*y, y >= 0, and they
+share the class with their translates w + g*e_k.  A class with one
+Apery element holds no failure of the criterion, so its points are
+counted in closed form, not visited; on a Cohen-Macaulay H every class
+has one element (Goto-Suzuki-Watanabe; Rosales-Garcia-Sanchez).  The
+points of any other class are listed by exponent_vectors and decided
+by one walk over the class.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .actions import CyclicAction, ExponentVector, invariant_monomials
-from .exactalg import InternalDiscrepancy, exact_int
+from .actions import (CyclicAction, ExponentVector, exponent_vectors,
+                      invariant_monomials)
+from .exactalg import InternalDiscrepancy, binomial, exact_int
 
 
 class UnsupportedSemigroupError(ValueError):
@@ -52,7 +58,7 @@ class AffineSemigroup:
     generators: tuple[ExponentVector, ...]
     degree: int
 
-    # the Apery set, built on first use
+    # the Apery set and its per-class scan data, built on first use
     _cache: dict = field(default_factory=dict, init=False,
                          repr=False, compare=False)
 
@@ -238,50 +244,25 @@ def _apery(H: AffineSemigroup) -> tuple[tuple[int, ...], dict]:
     return axes, apery
 
 
-def _lattice_points(H: AffineSemigroup, bound: int):
-    """(level, w, Apery class of w) for each lattice point w >= 0 through
-    level `bound`, level by level and lex descending within a level.
+def _classes(H: AffineSemigroup) -> list:
+    """(residue key r, base level |r|/g, Apery entries) for each class of
+    Ap(H), cached beside it so that both scans of one report share it.
 
-    Only lattice points are built.  The residue keys of Ap(H) form a
-    trie: a node maps each allowed residue of coordinate i to the node
-    for coordinate i + 1, and the node of the last coordinate maps its
-    residue to the class.  A coordinate runs over the values its node
-    allows, largest first.  The last coordinate is fixed by the level
-    sum, and its residue is the one key of its node, since keys and
-    lattice points both sum to 0 mod g.
+    The points of class r at level L are r + g*y with y >= 0 and
+    |y| = L - |r|/g; keys and lattice points both sum to 0 mod g.
     """
-    g = H.degree
-    last = H.dim - 1
-    trie: dict = {}
-    for key, entries in _apery(H)[1].items():
-        node = trie
-        for r in key[:last]:
-            node = node.setdefault(r, {})
-        node[key[last]] = entries
-    for level in range(bound + 1):
-        stack = [((), level * g, trie)]
-        while stack:
-            prefix, remaining, node = stack.pop()
-            if len(prefix) == last:
-                yield level, prefix + (remaining,), node[remaining % g]
-                continue
-            children = _descending(node, remaining, g)
-            if len(prefix) < last - 1:
-                stack.extend((prefix + (y,), remaining - y, child)
-                             for y, child in reversed(children))
-                continue
-            for y, child in children:
-                rest = remaining - y
-                yield level, prefix + (y, rest), child[rest % g]
+    cache = H._cache
+    if "classes" not in cache:
+        g = H.degree
+        cache["classes"] = [(key, sum(key) // g, entries)
+                            for key, entries in _apery(H)[1].items()]
+    return cache["classes"]
 
 
-def _descending(node: dict, remaining: int, g: int) -> list:
-    """(y, node[y mod g]) for each y in [0, remaining] whose residue is a
-    key of node, y descending: the residues, ordered by their largest
-    value, repeat in steps of g."""
-    offsets = sorted(((remaining - r) % g, child) for r, child in node.items())
-    return [(top - offset, child) for top in range(remaining, -1, -g)
-            for offset, child in offsets if offset <= top]
+def _class_points(key, m: int, g: int) -> list:
+    """The points key + g*y, y >= 0 with |y| = m, lex descending."""
+    return [tuple(r + g * c for r, c in zip(key, y))
+            for y in exponent_vectors(len(key), m)]
 
 
 def _point_test(entries, w, g) -> tuple[bool, int]:
@@ -332,15 +313,31 @@ def is_normal_up_to(H: AffineSemigroup, bound: int) -> NormalityReport:
     """Scan saturation points through degree level `bound` for gaps.
 
     Levels are coordinate sums 0, g, ..., bound*g (the lattice of a
-    homogeneous semigroup meets no other sums); within each level the
-    scan is lex descending, so the reported witness is deterministic.
+    homogeneous semigroup meets no other sums).  The witness is the
+    lex-largest gap of the lowest level that has one: the first gap a
+    lex-descending visit of every lattice point would meet.  Each level
+    is scanned class by class.  A class whose Apery element a is its
+    residue key r itself (alpha = (a - r)/g = 0) has no gap, since r
+    lies below every point r + g*y of the class, so it is skipped; any
+    other class is walked, and the witness is the largest of the
+    classes' largest gaps.
     """
     _require_axes(H)
     if bound < 0:
         raise ValueError("bound must be nonnegative")
-    for _, w, entries in _lattice_points(H, bound):
-        if _below(entries, w) is None:
-            return NormalityReport(False, bound, w)
+    g = H.degree
+    classes = _classes(H)
+    for level in range(bound + 1):
+        gaps = []
+        for key, base, entries in classes:
+            if level < base or entries[0][0] == key:
+                continue
+            gap = next((w for w in _class_points(key, level - base, g)
+                        if _below(entries, w) is None), None)
+            if gap is not None:
+                gaps.append(gap)
+        if gaps:
+            return NormalityReport(False, bound, max(gaps))
     return NormalityReport(True, bound, None)
 
 
@@ -379,29 +376,77 @@ def trung_cm_check(H: AffineSemigroup, bound: int) -> TrungReport:
     holds.  Any candidate with two translates w + f_i, w + f_j inside H
     is automatically nonnegative, because each f is supported on a
     single axis, so scanning the lattice points of the orthant level by
-    level is a complete search.  The translates share w's residue, hence
-    its Apery class, and one walk over that class decides w and every
-    translate.  The witness is the lex-largest failure of the lowest
-    failing level; the counts run up to and including it.
+    level is a complete search.  The witness is the lex-largest failure
+    of the lowest failing level; lattice_points and pair_hits count the
+    lattice points and the points with two translates in H, through the
+    levels below it and, on its level, the points lex >= it.  These are
+    the point and the counts that a lex-descending visit of every
+    lattice point, stopping at the first failure, would give.
+
+    Each level is scanned class by class.  The points of class r at
+    level L are w = r + g*y with y >= 0 and |y| = m = L - |r|/g, and
+    they share an Apery class with their translates w + g*e_k.  A class
+    with one element a, with alpha = (a - r)/g, holds w exactly when
+    y >= alpha.  If w is not in H, then a exceeds w somewhere, so at
+    most one translate w + g*e_k lies in H: such a class holds no
+    failure and no pair hit outside H.  Its points are counted, not
+    visited: C(m + dim - 1, dim - 1) of them, of which the
+    C(m - |alpha| + dim - 1, dim - 1) with y >= alpha are pair hits
+    when dim >= 2 and m >= |alpha|.  A class with more elements is
+    walked, one walk over its entries deciding a point and all its
+    translates.  On a failing level, every class is walked again,
+    counting only the points lex >= the witness.  On a Cohen-Macaulay
+    H, where every class has one element, the scan costs O(|Ap| bound).
     """
     axes = _require_axes(H)
     if bound < 0:
         raise ValueError("bound must be nonnegative")
     g = H.degree
-    status, witness, levels_scanned = "verified-up-to-bound", None, bound + 1
+    dim = H.dim
+    classes = _classes(H)
     lattice_points = pair_hits = 0
-    for level, w, entries in _lattice_points(H, bound):
-        lattice_points += 1
-        in_h, translates_in = _point_test(entries, w, g)
-        if translates_in < 2:
-            continue
-        pair_hits += 1
-        if not in_h:
-            status, witness, levels_scanned = "counterexample", w, level + 1
-            break
-    stats = {"levels_scanned": levels_scanned,
+    for level in range(bound + 1):
+        points = hits = 0
+        failures = []
+        for key, base, entries in classes:
+            m = level - base
+            if m < 0:
+                continue
+            if len(entries) == 1:
+                points += binomial(m + dim - 1, dim - 1)
+                excess = sum(entries[0][0]) // g - base
+                if dim >= 2 and m >= excess:
+                    hits += binomial(m - excess + dim - 1, dim - 1)
+                continue
+            for w in _class_points(key, m, g):
+                points += 1
+                in_h, translates_in = _point_test(entries, w, g)
+                if translates_in >= 2:
+                    hits += 1
+                    if not in_h:
+                        failures.append(w)
+        if failures:
+            witness = max(failures)
+            points = hits = 0
+            for key, base, entries in classes:
+                if level < base:
+                    continue
+                for w in _class_points(key, level - base, g):
+                    if w < witness:
+                        break
+                    points += 1
+                    hits += _point_test(entries, w, g)[1] >= 2
+            stats = {"levels_scanned": level + 1,
+                     "lattice_points": lattice_points + points,
+                     "pair_hits": pair_hits + hits}
+            return TrungReport(axes, bound, True, g, "counterexample",
+                               witness, stats)
+        lattice_points += points
+        pair_hits += hits
+    stats = {"levels_scanned": bound + 1,
              "lattice_points": lattice_points, "pair_hits": pair_hits}
-    return TrungReport(axes, bound, True, g, status, witness, stats)
+    return TrungReport(axes, bound, True, g, "verified-up-to-bound", None,
+                       stats)
 
 
 def lemma_two_zero_check(t: int, box: int) -> bool:

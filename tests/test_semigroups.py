@@ -1,3 +1,4 @@
+import random
 from math import gcd
 
 import pytest
@@ -7,7 +8,7 @@ from gt_toolkit.actions import CyclicAction, exponent_vectors
 from gt_toolkit.hilbert import hf_by_counting
 from gt_toolkit.semigroups import (AffineSemigroup, NormalityReport,
                                    TrungReport, UnsupportedSemigroupError,
-                                   _apery, _below, _lattice_points,
+                                   _apery, _below, _class_points, _classes,
                                    _point_test, is_normal_up_to,
                                    lemma_two_zero_check, make_h3t, make_hk,
                                    member, semigroup_of_action,
@@ -298,19 +299,79 @@ def _trung_by_member(H, bound):
                        "verified-up-to-bound", None, stats)
 
 
+def _random_multi_class_sets(seed, count):
+    """Seeded dimension-3 generator sets, each with an Apery class of
+    more than one element."""
+    rng = random.Random(seed)
+    found = []
+    while len(found) < count:
+        g = rng.randint(3, 6)
+        gens = {(g, 0, 0), (0, g, 0), (0, 0, g)}
+        for _ in range(rng.randint(1, 3)):
+            x = rng.randint(0, g)
+            y = rng.randint(0, g - x)
+            gens.add((x, y, g - x - y))
+        H = AffineSemigroup.from_generators(gens)
+        if any(len(entries) > 1 for entries in _apery(H)[1].values()):
+            found.append(H)
+    return found
+
+
 def test_scans_match_public_member_route(monkeypatch):
-    named = _apery_test_semigroups()
-    expected = {name: (_normality_by_member(H, 8).to_dict(),
-                       _trung_by_member(H, 8).to_dict())
-                for name, H in named.items()}
+    cases = [(name, H, 8) for name, H in _scan_test_semigroups().items()]
+    cases.append(("cubic", CUBIC, 6))
+    cases += [(f"random {i}", H, bound)
+              for i, H in enumerate(_random_multi_class_sets(20, 12))
+              for bound in range(9)]
+    expected = [(_normality_by_member(H, bound).to_dict(),
+                 _trung_by_member(H, bound).to_dict())
+                for _, H, bound in cases]
 
     def forbidden(*args):
         raise AssertionError("the scans must read the Apery classes")
 
     monkeypatch.setattr(semigroups, "member", forbidden)
-    for name, H in named.items():
-        got = (is_normal_up_to(H, 8).to_dict(), trung_cm_check(H, 8).to_dict())
-        assert got == expected[name], name
+    for (name, H, bound), want in zip(cases, expected):
+        got = (is_normal_up_to(H, bound).to_dict(),
+               trung_cm_check(H, bound).to_dict())
+        assert got == want, (name, bound)
+    # on cubic's failing level a one-element class holds points lex-greater
+    # than the witness, so the counts there cover the failing-level walk
+    report = trung_cm_check(CUBIC, 6)
+    level = report.stats["levels_scanned"] - 1
+    assert report.status == "counterexample" and level <= 6
+    assert any(len(entries) == 1 and base <= level
+               and _class_points(key, level - base, CUBIC.degree)[0]
+               > report.witness
+               for key, base, entries in _classes(CUBIC))
+
+
+def test_scans_count_one_element_classes_without_walking(monkeypatch):
+    # a class with one Apery element holds no CM failure and, when that
+    # element is its residue key, no gap: the scans count its points
+    named = _apery_test_semigroups()
+    singleton = {name: H for name, H in named.items()
+                 if all(len(e) == 1 for e in _apery(H)[1].values())}
+    assert set(named) - set(singleton) == {"cubic", "s5", "s6", "s7"}
+    surfaces = [semigroup_of_action(a) for a in gt_surface_actions(11)]
+    for H in surfaces + [CUBIC]:
+        _apery(H)  # the Apery build itself calls _below
+    calls = {"_point_test": 0, "_below": 0}
+    for name in calls:
+        def counted(*args, name=name, inner=getattr(semigroups, name)):
+            calls[name] += 1
+            return inner(*args)
+        monkeypatch.setattr(semigroups, name, counted)
+    for name, H in singleton.items():
+        trung_cm_check(H, 8)
+        assert calls["_point_test"] == 0, name
+    for H in surfaces:
+        is_normal_up_to(H, 8)
+        assert calls["_below"] == 0, H.generators
+    # the counters do see the walks of larger classes
+    trung_cm_check(CUBIC, 8)
+    is_normal_up_to(CUBIC, 8)
+    assert calls["_point_test"] > 0 and calls["_below"] > 0
 
 
 def _orthant_filter(H, bound):
@@ -336,14 +397,27 @@ def _scan_test_semigroups():
 
 
 def test_lattice_points_match_orthant_filter():
+    # at each level the per-class walk over all classes yields exactly
+    # the orthant filter's points, each class's points lex descending
     for name, H in _scan_test_semigroups().items():
-        assert list(_lattice_points(H, 8)) == _orthant_filter(H, 8), name
+        g = H.degree
+        walked = []
+        for level in range(9):
+            points = []
+            for key, base, entries in _classes(H):
+                if level < base:
+                    continue
+                ws = _class_points(key, level - base, g)
+                assert ws == sorted(ws, reverse=True), (name, key, level)
+                points += [(level, w, entries) for w in ws]
+            walked += sorted(points, key=lambda p: p[1], reverse=True)
+        assert walked == _orthant_filter(H, 8), name
 
 
 def test_point_test_matches_below_on_point_and_translates():
     for name, H in _scan_test_semigroups().items():
         g = H.degree
-        for _, w, entries in _lattice_points(H, 8):
+        for _, w, entries in _orthant_filter(H, 8):
             in_h = _below(entries, w) is not None
             translates = sum(
                 _below(entries, w[:k] + (w[k] + g,) + w[k + 1:]) is not None
