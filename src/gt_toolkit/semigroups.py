@@ -404,6 +404,7 @@ def trung_cm_check(H: AffineSemigroup, bound: int) -> TrungReport:
     g = H.degree
     dim = H.dim
     classes = _classes(H)
+    status, witness, levels_scanned = "verified-up-to-bound", None, bound + 1
     lattice_points = pair_hits = 0
     for level in range(bound + 1):
         points = hits = 0
@@ -436,17 +437,14 @@ def trung_cm_check(H: AffineSemigroup, bound: int) -> TrungReport:
                         break
                     points += 1
                     hits += _point_test(entries, w, g)[1] >= 2
-            stats = {"levels_scanned": level + 1,
-                     "lattice_points": lattice_points + points,
-                     "pair_hits": pair_hits + hits}
-            return TrungReport(axes, bound, True, g, "counterexample",
-                               witness, stats)
+            status, levels_scanned = "counterexample", level + 1
         lattice_points += points
         pair_hits += hits
-    stats = {"levels_scanned": bound + 1,
+        if witness is not None:
+            break
+    stats = {"levels_scanned": levels_scanned,
              "lattice_points": lattice_points, "pair_hits": pair_hits}
-    return TrungReport(axes, bound, True, g, "verified-up-to-bound", None,
-                       stats)
+    return TrungReport(axes, bound, True, g, status, witness, stats)
 
 
 def lemma_two_zero_check(t: int, box: int) -> bool:
