@@ -22,15 +22,17 @@ Cohen-Macaulayness is certified through the one-dimensional test set
 which equals H exactly when the semigroup ring is Cohen-Macaulay.  The
 test set is infinite, so the certificate is bounded: "verified up to
 degree D" scans every graded level through D and never claims more.  A
-counterexample witness, by contrast, is unconditional.  The scans go
-level by level and, within a level, Apery class by Apery class: the
-points of the class with residue key r are r + g*y, y >= 0, and they
-share the class with their translates w + g*e_k.  A class with one
-Apery element holds no failure of the criterion, so its points are
-counted in closed form, not visited; on a Cohen-Macaulay H every class
-has one element (Goto-Suzuki-Watanabe; Rosales-Garcia-Sanchez).  The
-points of any other class are listed by exponent_vectors and decided
-by one walk over the class.
+counterexample witness, by contrast, is unconditional.  Both bounded
+reports read the Apery classes: the points of the class with residue
+key r are r + g*y, y >= 0, and share it with their translates
+w + g*e_k.  The normality verdict comes from the classes alone: a class
+whose Apery element is not r has r as its lowest gap.  Only the CM scan
+walks, level by level and class by class.  A class with one Apery
+element holds no failure of the criterion, so its points are counted in
+closed form, not visited; on a Cohen-Macaulay H every class has one
+element (Goto-Suzuki-Watanabe; Rosales-Garcia-Sanchez).  The points of
+any other class are listed by exponent_vectors and decided by one walk
+over the class.
 """
 
 from __future__ import annotations
@@ -310,35 +312,38 @@ class NormalityReport:
 
 
 def is_normal_up_to(H: AffineSemigroup, bound: int) -> NormalityReport:
-    """Scan saturation points through degree level `bound` for gaps.
+    """Look for gaps of H in its saturation through degree level `bound`.
 
     Levels are coordinate sums 0, g, ..., bound*g (the lattice of a
     homogeneous semigroup meets no other sums).  The witness is the
     lex-largest gap of the lowest level that has one: the first gap a
-    lex-descending visit of every lattice point would meet.  Each level
-    is scanned class by class.  A class whose Apery element a is its
-    residue key r itself (alpha = (a - r)/g = 0) has no gap, since r
-    lies below every point r + g*y of the class, so it is skipped; any
-    other class is walked, and the witness is the largest of the
-    classes' largest gaps.
+    lex-descending visit of every lattice point would meet.  It is read
+    off the Apery classes, with no point visited:
+
+    * the residue key r of a class is itself a lattice point of the
+      saturation, at the class's base level |r|/g, and every point
+      r + g*y of the class lies at or above that level;
+    * Apery elements are pairwise incomparable, so a class whose Apery
+      element is r has exactly one element, and it lies below every
+      point of the class: the class holds no gap;
+    * in any other class r is a gap, because the only class element
+      <= r would be r itself.
+
+    So no class has a gap below its base, the lowest gap level L is the
+    least base of a class whose first entry is not its key, the gaps of
+    level L are exactly the keys of such classes with base L, and the
+    witness is the lex-largest of them.  H is normal through `bound`
+    exactly when no such class has base <= bound.
     """
     _require_axes(H)
     if bound < 0:
         raise ValueError("bound must be nonnegative")
-    g = H.degree
-    classes = _classes(H)
-    for level in range(bound + 1):
-        gaps = []
-        for key, base, entries in classes:
-            if level < base or entries[0][0] == key:
-                continue
-            gap = next((w for w in _class_points(key, level - base, g)
-                        if _below(entries, w) is None), None)
-            if gap is not None:
-                gaps.append(gap)
-        if gaps:
-            return NormalityReport(False, bound, max(gaps))
-    return NormalityReport(True, bound, None)
+    # max of (-base, key): the lowest gap level, then its lex-largest key
+    gaps = [(-base, key) for key, base, entries in _classes(H)
+            if base <= bound and entries[0][0] != key]
+    if not gaps:
+        return NormalityReport(True, bound, None)
+    return NormalityReport(False, bound, max(gaps)[1])
 
 
 @dataclass(frozen=True)

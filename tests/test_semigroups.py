@@ -347,16 +347,17 @@ def test_scans_match_public_member_route(monkeypatch):
 
 
 def test_scans_count_one_element_classes_without_walking(monkeypatch):
-    # a class with one Apery element holds no CM failure and, when that
-    # element is its residue key, no gap: the scans count its points
+    # a class with one Apery element holds no CM failure, so the CM scan
+    # counts its points; the normality scan visits no point at all
     named = _apery_test_semigroups()
     singleton = {name: H for name, H in named.items()
                  if all(len(e) == 1 for e in _apery(H)[1].values())}
     assert set(named) - set(singleton) == {"cubic", "s5", "s6", "s7"}
+    scanned = _scan_test_semigroups()
     surfaces = [semigroup_of_action(a) for a in gt_surface_actions(11)]
-    for H in surfaces + [CUBIC]:
+    for H in surfaces + list(scanned.values()):
         _apery(H)  # the Apery build itself calls _below
-    calls = {"_point_test": 0, "_below": 0}
+    calls = {"_point_test": 0, "_below": 0, "_class_points": 0}
     for name in calls:
         def counted(*args, name=name, inner=getattr(semigroups, name)):
             calls[name] += 1
@@ -365,13 +366,12 @@ def test_scans_count_one_element_classes_without_walking(monkeypatch):
     for name, H in singleton.items():
         trung_cm_check(H, 8)
         assert calls["_point_test"] == 0, name
-    for H in surfaces:
+    for name, H in list(scanned.items()) + list(enumerate(surfaces)):
         is_normal_up_to(H, 8)
-        assert calls["_below"] == 0, H.generators
-    # the counters do see the walks of larger classes
+        assert calls["_below"] == calls["_class_points"] == 0, name
+    # the counter does see the CM scan's walks of larger classes
     trung_cm_check(CUBIC, 8)
-    is_normal_up_to(CUBIC, 8)
-    assert calls["_point_test"] > 0 and calls["_below"] > 0
+    assert calls["_point_test"] > 0
 
 
 def _orthant_filter(H, bound):
@@ -432,6 +432,22 @@ def test_is_normal_up_to():
     assert is_normal_up_to(make_h3t(1), 4).normal_up_to_bound
     gt = semigroup_of_action(CyclicAction(5, (0, 1, 3)))
     assert is_normal_up_to(gt, 4).normal_up_to_bound
+    # lattice {a + b = 0 mod 4}; level 1 has two gaps, (3, 1) and (2, 2),
+    # and the witness is the lex-larger one
+    two_low = AffineSemigroup.from_generators([(4, 0), (0, 4), (1, 3)])
+    # residues mod 4 are the multiples of (1, 1, 2); the gaps (2, 2, 0) at
+    # level 1 and (3, 3, 2) at level 2 are both residue keys, and only
+    # the lower one is the witness, though the higher one is lex-larger
+    low_and_high = AffineSemigroup.from_generators(
+        [(4, 0, 0), (0, 4, 0), (0, 0, 4), (1, 1, 2)])
+    for H, witness in ((two_low, (3, 1)), (low_and_high, (2, 2, 0))):
+        assert is_normal_up_to(H, 0) == NormalityReport(True, 0, None)
+        for bound in (1, 2, 3):
+            want = NormalityReport(False, bound, witness)
+            assert is_normal_up_to(H, bound) == want, (H.generators, bound)
+            assert _normality_by_member(H, bound) == want
+    assert not member(two_low, (2, 2)).member
+    assert not member(low_and_high, (3, 3, 2)).member
 
 
 def test_trung_shifted_family():
