@@ -21,18 +21,19 @@ Cohen-Macaulayness is certified through the one-dimensional test set
 
 which equals H exactly when the semigroup ring is Cohen-Macaulay.  The
 test set is infinite, so the certificate is bounded: "verified up to
-degree D" scans every graded level through D and never claims more.  A
+degree D" covers every graded level through D and never claims more.  A
 counterexample witness, by contrast, is unconditional.  Both bounded
 reports read the Apery classes: the points of the class with residue
 key r are r + g*y, y >= 0, and share it with their translates
-w + g*e_k.  The normality verdict comes from the classes alone: a class
-whose Apery element is not r has r as its lowest gap.  Only the CM scan
-walks, level by level and class by class.  A class with one Apery
-element holds no failure of the criterion, so its points are counted in
-closed form, not visited; on a Cohen-Macaulay H every class has one
-element (Goto-Suzuki-Watanabe; Rosales-Garcia-Sanchez).  The points of
-any other class are listed by exponent_vectors and decided by one walk
-over the class.
+w + g*e_k.  The normality verdict comes from the classes alone: a
+class whose Apery element is not r has r as its lowest gap.  The CM
+scan splits on the class sizes.  H is Cohen-Macaulay exactly when
+every class has one element (Goto-Suzuki-Watanabe;
+Rosales-Garcia-Sanchez); then no point fails, and the points and pair
+hits through the bound are counted in closed form, in O(|Ap|).  On any
+other H the lattice points are visited level by level, lex descending,
+each decided by one walk over its class, until the first failure, which
+such an H always has.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ class AffineSemigroup:
     generators: tuple[ExponentVector, ...]
     degree: int
 
-    # the Apery set and its per-class scan data, built on first use
+    # the Apery set, built on first use
     _cache: dict = field(default_factory=dict, init=False,
                          repr=False, compare=False)
 
@@ -246,21 +247,6 @@ def _apery(H: AffineSemigroup) -> tuple[tuple[int, ...], dict]:
     return axes, apery
 
 
-def _classes(H: AffineSemigroup) -> list:
-    """(residue key r, base level |r|/g, Apery entries) for each class of
-    Ap(H), cached beside it so that both scans of one report share it.
-
-    The points of class r at level L are r + g*y with y >= 0 and
-    |y| = L - |r|/g; keys and lattice points both sum to 0 mod g.
-    """
-    cache = H._cache
-    if "classes" not in cache:
-        g = H.degree
-        cache["classes"] = [(key, sum(key) // g, entries)
-                            for key, entries in _apery(H)[1].items()]
-    return cache["classes"]
-
-
 def _class_points(key, m: int, g: int) -> list:
     """The points key + g*y, y >= 0 with |y| = m, lex descending."""
     return [tuple(r + g * c for r, c in zip(key, y))
@@ -338,8 +324,11 @@ def is_normal_up_to(H: AffineSemigroup, bound: int) -> NormalityReport:
     _require_axes(H)
     if bound < 0:
         raise ValueError("bound must be nonnegative")
+    g = H.degree
+    classes = [(key, sum(key) // g, entries)
+               for key, entries in _apery(H)[1].items()]
     # max of (-base, key): the lowest gap level, then its lex-largest key
-    gaps = [(-base, key) for key, base, entries in _classes(H)
+    gaps = [(-base, key) for key, base, entries in classes
             if base <= bound and entries[0][0] != key]
     if not gaps:
         return NormalityReport(True, bound, None)
@@ -381,72 +370,70 @@ def trung_cm_check(H: AffineSemigroup, bound: int) -> TrungReport:
     holds.  Any candidate with two translates w + f_i, w + f_j inside H
     is automatically nonnegative, because each f is supported on a
     single axis, so scanning the lattice points of the orthant level by
-    level is a complete search.  The witness is the lex-largest failure
-    of the lowest failing level; lattice_points and pair_hits count the
-    lattice points and the points with two translates in H, through the
-    levels below it and, on its level, the points lex >= it.  These are
-    the point and the counts that a lex-descending visit of every
-    lattice point, stopping at the first failure, would give.
+    level is a complete search.  The witness is the first failure met by
+    a visit of the lattice points through level `bound`, level by level
+    and lex descending within a level; lattice_points and pair_hits
+    count the points that visit passes, the witness included, and those
+    among them with two translates in H.
 
-    Each level is scanned class by class.  The points of class r at
-    level L are w = r + g*y with y >= 0 and |y| = m = L - |r|/g, and
-    they share an Apery class with their translates w + g*e_k.  A class
-    with one element a, with alpha = (a - r)/g, holds w exactly when
-    y >= alpha.  If w is not in H, then a exceeds w somewhere, so at
-    most one translate w + g*e_k lies in H: such a class holds no
-    failure and no pair hit outside H.  Its points are counted, not
-    visited: C(m + dim - 1, dim - 1) of them, of which the
-    C(m - |alpha| + dim - 1, dim - 1) with y >= alpha are pair hits
-    when dim >= 2 and m >= |alpha|.  A class with more elements is
-    walked, one walk over its entries deciding a point and all its
-    translates.  On a failing level, every class is walked again,
-    counting only the points lex >= the witness.  On a Cohen-Macaulay
-    H, where every class has one element, the scan costs O(|Ap| bound).
+    The points of class r at level L are w = r + g*y with y >= 0 and
+    |y| = L - b, where b = |r|/g is the class's base level; they share
+    the class with their translates w + g*e_k.  H1 = H exactly when H is
+    Cohen-Macaulay, which holds exactly when every class has one Apery
+    element (Goto-Suzuki-Watanabe; Rosales-Garcia-Sanchez).  The scan
+    splits on that:
+
+    * Every class has one element: no point fails, and the counts are
+      closed forms.  With a the element of class r and alpha = (a - r)/g,
+      w lies in H exactly when y >= alpha; otherwise a exceeds w
+      somewhere, so at most one translate lies in H.  Level b + m holds
+      C(m + dim - 1, dim - 1) points of the class, of which
+      C(m - |alpha| + dim - 1, dim - 1) are pair hits when dim >= 2 and
+      m >= |alpha|.  Summed over m = 0..top, top = bound - b, by the
+      hockey-stick identity, the class adds C(top + dim, dim) points
+      when top >= 0 and C(top - |alpha| + dim, dim) pair hits when
+      dim >= 2 and top >= |alpha|.  This costs O(|Ap|), whatever the
+      bound.
+    * Otherwise the visit is made: each level's points, from every class
+      with base at most the level, are sorted lex descending and each is
+      decided with its translates by one walk over its class.  Such an H
+      is not Cohen-Macaulay, so some point fails, and the visit stops at
+      the lowest level holding a failure, however large the bound.
     """
     axes = _require_axes(H)
     if bound < 0:
         raise ValueError("bound must be nonnegative")
     g = H.degree
     dim = H.dim
-    classes = _classes(H)
+    classes = [(key, sum(key) // g, entries)
+               for key, entries in _apery(H)[1].items()]
     status, witness, levels_scanned = "verified-up-to-bound", None, bound + 1
     lattice_points = pair_hits = 0
-    for level in range(bound + 1):
-        points = hits = 0
-        failures = []
+    if all(len(entries) == 1 for _, _, entries in classes):
         for key, base, entries in classes:
-            m = level - base
-            if m < 0:
-                continue
-            if len(entries) == 1:
-                points += binomial(m + dim - 1, dim - 1)
-                excess = sum(entries[0][0]) // g - base
-                if dim >= 2 and m >= excess:
-                    hits += binomial(m - excess + dim - 1, dim - 1)
-                continue
-            for w in _class_points(key, m, g):
-                points += 1
+            top = bound - base
+            excess = sum(entries[0][0]) // g - base
+            if top >= 0:
+                lattice_points += binomial(top + dim, dim)
+            if dim >= 2 and top >= excess:
+                pair_hits += binomial(top - excess + dim, dim)
+    else:
+        for level in range(bound + 1):
+            points = sorted(((w, entries) for key, base, entries in classes
+                             if base <= level
+                             for w in _class_points(key, level - base, g)),
+                            reverse=True)
+            for w, entries in points:
+                lattice_points += 1
                 in_h, translates_in = _point_test(entries, w, g)
                 if translates_in >= 2:
-                    hits += 1
+                    pair_hits += 1
                     if not in_h:
-                        failures.append(w)
-        if failures:
-            witness = max(failures)
-            points = hits = 0
-            for key, base, entries in classes:
-                if level < base:
-                    continue
-                for w in _class_points(key, level - base, g):
-                    if w < witness:
+                        status, witness = "counterexample", w
+                        levels_scanned = level + 1
                         break
-                    points += 1
-                    hits += _point_test(entries, w, g)[1] >= 2
-            status, levels_scanned = "counterexample", level + 1
-        lattice_points += points
-        pair_hits += hits
-        if witness is not None:
-            break
+            if witness is not None:
+                break
     stats = {"levels_scanned": levels_scanned,
              "lattice_points": lattice_points, "pair_hits": pair_hits}
     return TrungReport(axes, bound, True, g, status, witness, stats)
@@ -458,8 +445,8 @@ def lemma_two_zero_check(t: int, box: int) -> bool:
     Scans every vector with exactly one zero coordinate and the other
     two in [1, box]: such a vector lies in the t-th semigroup of the
     shifted family exactly when both nonzero coordinates are multiples
-    of 3t.  Each vector is decided on its cached Apery class, as the
-    scans do.
+    of 3t.  Each vector is decided by the Apery elements of its residue
+    class, as member decides it, without building a decomposition.
     """
     if t < 1:
         raise ValueError("t must be at least 1")

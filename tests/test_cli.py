@@ -47,6 +47,14 @@ def test_h3t_verified(capsys):
     assert "witness [3, 3, 0]" in out  # H_6 is not normal
 
 
+def test_h3t_huge_bound_is_counted_not_scanned(capsys):
+    # H_9 is Cohen-Macaulay, so the CM scan's cost does not grow with
+    # the bound
+    status, out, _ = run(capsys, "h3t", "3", "--bound", "1000000000")
+    assert status == 0
+    assert "CM certification: verified-up-to-bound (bound 1000000000" in out
+
+
 def test_json_round_trip(capsys):
     for argv in (["hilbert", "1", "2", "3", "--format", "json"],
                  ["betti", "1", "4", "8", "--format", "json"],

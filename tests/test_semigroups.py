@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from math import gcd
 
 import pytest
@@ -8,7 +9,7 @@ from gt_toolkit.actions import CyclicAction, exponent_vectors
 from gt_toolkit.hilbert import hf_by_counting
 from gt_toolkit.semigroups import (AffineSemigroup, NormalityReport,
                                    TrungReport, UnsupportedSemigroupError,
-                                   _apery, _below, _class_points, _classes,
+                                   _apery, _below, _class_points,
                                    _point_test, is_normal_up_to,
                                    lemma_two_zero_check, make_h3t, make_hk,
                                    member, semigroup_of_action,
@@ -230,6 +231,12 @@ def _apery_test_semigroups():
     return named
 
 
+def _classes(H):
+    """(residue key r, base level |r|/g, Apery entries) for each class."""
+    return [(key, sum(key) // H.degree, entries)
+            for key, entries in _apery(H)[1].items()]
+
+
 def test_apery_size_is_lattice_index_exactly_when_cm():
     # Rosales and Garcia-Sanchez: a simplicial affine semigroup is CM iff
     # each class of its lattice mod the axis lattice holds one Apery element
@@ -318,7 +325,9 @@ def _random_multi_class_sets(seed, count):
 
 
 def test_scans_match_public_member_route(monkeypatch):
-    cases = [(name, H, 8) for name, H in _scan_test_semigroups().items()]
+    # bounds 0-3 reach the base levels of the classes, bound 8 lies above
+    cases = [(name, H, bound) for name, H in _scan_test_semigroups().items()
+             for bound in (0, 1, 2, 3, 8)]
     cases.append(("cubic", CUBIC, 6))
     cases += [(f"random {i}", H, bound)
               for i, H in enumerate(_random_multi_class_sets(20, 12))
@@ -336,7 +345,7 @@ def test_scans_match_public_member_route(monkeypatch):
                trung_cm_check(H, bound).to_dict())
         assert got == want, (name, bound)
     # on cubic's failing level a one-element class holds points lex-greater
-    # than the witness, so the counts there cover the failing-level walk
+    # than the witness, so the counts check that the visit stops mid-level
     report = trung_cm_check(CUBIC, 6)
     level = report.stats["levels_scanned"] - 1
     assert report.status == "counterexample" and level <= 6
@@ -347,8 +356,8 @@ def test_scans_match_public_member_route(monkeypatch):
 
 
 def test_scans_count_one_element_classes_without_walking(monkeypatch):
-    # a class with one Apery element holds no CM failure, so the CM scan
-    # counts its points; the normality scan visits no point at all
+    # on an all-singleton H no point fails, so the CM scan counts its
+    # points; the normality scan visits no point at all
     named = _apery_test_semigroups()
     singleton = {name: H for name, H in named.items()
                  if all(len(e) == 1 for e in _apery(H)[1].values())}
@@ -372,6 +381,38 @@ def test_scans_count_one_element_classes_without_walking(monkeypatch):
     # the counter does see the CM scan's walks of larger classes
     trung_cm_check(CUBIC, 8)
     assert calls["_point_test"] > 0
+
+
+def test_cm_scan_cost_is_independent_of_the_bound(monkeypatch):
+    # on an all-singleton H the counts are closed forms, at most two
+    # binomials per class; past that cap the counter raises, so a scan
+    # that loops over levels fails at once instead of running for ages
+    singleton = [H for H in _apery_test_semigroups().values()
+                 if all(len(e) == 1 for e in _apery(H)[1].values())]
+    assert len(singleton) == 61
+    calls = {"_point_test": 0, "_class_points": 0, "binomial": 0}
+    cap = 0
+    for name in calls:
+        def counted(*args, name=name, inner=getattr(semigroups, name)):
+            calls[name] += 1
+            if calls["binomial"] > cap:
+                raise AssertionError("binomial called past its cap")
+            return inner(*args)
+        monkeypatch.setattr(semigroups, name, counted)
+    for H in singleton:
+        calls["binomial"] = 0
+        cap = 2 * sum(len(e) for e in _apery(H)[1].values())
+        report = trung_cm_check(H, 10**9)
+        assert report.status == "verified-up-to-bound", H.generators
+        assert calls["_point_test"] == calls["_class_points"] == 0
+    monkeypatch.undo()
+    # on any other H some point fails, so the visit stops at a level that
+    # does not depend on the bound
+    for H in [CUBIC] + _random_multi_class_sets(20, 12):
+        report = trung_cm_check(H, 10**9)
+        assert report.status == "counterexample", H.generators
+        low = report.stats["levels_scanned"] - 1
+        assert trung_cm_check(H, low) == replace(report, bound=low)
 
 
 def _orthant_filter(H, bound):
