@@ -4,7 +4,9 @@ Exit codes: 0 success, 1 usage or input error, 2 a computation finished
 but carries a flagged internal discrepancy or an internal cross-check
 failed, 3 a verification check failed.  Output is deterministic:
 identical inputs give byte-identical output in both table and JSON
-formats.
+formats.  Each command returns its report and its table lines; `ideal`
+yields its lines lazily, so its table text is built only for table
+output.
 
 One argument parser serves every main() call in a process: it is built
 on the first call, not at import.  Integer arguments and the
@@ -303,16 +305,20 @@ def _cmd_ideal(args):
     report = gens.to_dict()
     report["action"] = action.to_dict()
     report["generator_monomials"] = [list(m) for m in gens.generators]
-    lines = [f"action: d={action.d} weights={','.join(map(str, action.weights))}",
-             "generators: " + "  ".join(
-                 f"w{i}={format_monomial(m)}"
-                 for i, m in enumerate(gens.generators)),
-             f"quadrics ({len(gens.quadrics)}):"]
-    lines += [f"  {_binomial_str(b)}" for b in gens.quadrics]
-    lines.append(f"cubics ({len(gens.cubics)}):")
-    lines += [f"  {_binomial_str(b)}" for b in gens.cubics]
-    lines.append(f"verified through degree {gens.verified_through_degree}")
-    return report, lines, OK
+    return report, _ideal_lines(action, gens), OK
+
+
+def _ideal_lines(action, gens):
+    """The table text of an ideal report; main joins it only for table
+    output, so a JSON run formats no binomial."""
+    yield f"action: d={action.d} weights={','.join(map(str, action.weights))}"
+    yield "generators: " + "  ".join(f"w{i}={format_monomial(m)}"
+                                     for i, m in enumerate(gens.generators))
+    yield f"quadrics ({len(gens.quadrics)}):"
+    yield from (f"  {_binomial_str(b)}" for b in gens.quadrics)
+    yield f"cubics ({len(gens.cubics)}):"
+    yield from (f"  {_binomial_str(b)}" for b in gens.cubics)
+    yield f"verified through degree {gens.verified_through_degree}"
 
 
 def _binomial_str(binomial) -> str:

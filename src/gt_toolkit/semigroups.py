@@ -247,10 +247,10 @@ def _apery(H: AffineSemigroup) -> tuple[tuple[int, ...], dict]:
     return axes, apery
 
 
-def _class_points(key, m: int, g: int) -> list:
-    """The points key + g*y, y >= 0 with |y| = m, lex descending."""
-    return [tuple(r + g * c for r, c in zip(key, y))
-            for y in exponent_vectors(len(key), m)]
+def _class_points(key, ys, g: int) -> list:
+    """The points key + g*y for y in ys; lex descending when ys is
+    exponent_vectors(len(key), m), the points with |y| = m."""
+    return [tuple(r + g * c for r, c in zip(key, y)) for y in ys]
 
 
 def _point_test(entries, w, g) -> tuple[bool, int]:
@@ -418,10 +418,14 @@ def trung_cm_check(H: AffineSemigroup, bound: int) -> TrungReport:
             if dim >= 2 and top >= excess:
                 pair_hits += binomial(top - excess + dim, dim)
     else:
+        # vectors[m]: the y with |y| = m, built once and shared by every
+        # class whose points at a level have |y| = m
+        vectors = []
         for level in range(bound + 1):
+            vectors.append(exponent_vectors(dim, level))
             points = sorted(((w, entries) for key, base, entries in classes
-                             if base <= level
-                             for w in _class_points(key, level - base, g)),
+                             if base <= level for w in _class_points(
+                                 key, vectors[level - base], g)),
                             reverse=True)
             for w, entries in points:
                 lattice_points += 1

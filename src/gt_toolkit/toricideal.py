@@ -12,6 +12,13 @@ components of this fiber graph minus one, and the generators alone give
 them: join u and v when g_u + g_v <= b.  That is exact, as every
 invariant of degree t*d is a product of t generators
 (actions.egz_factor): each g_v <= b and each such pair is in a multiset.
+
+The graphs read their edges from a table: monomials are packed into
+one integer each, lex order kept, and the vertices joined to u in b's
+graph are the vertex mask of the packed b - g_u, one degree lower.  The
+degree-2 fibers give that table for degree 3 and the degree-3 basis for
+degree 4; both hold every invariant of their degree, so a lookup never
+misses unless a cross-check has already failed.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate
-from operator import add, and_, getitem, or_, sub
+from operator import add, and_, getitem, mul, or_
 
 from .actions import (CyclicAction, ExponentVector, count_invariants,
                       invariant_monomials, mu_d)
@@ -135,6 +142,21 @@ def minimal_generators(action: CyclicAction) -> BinomialGeneratorSet:
     components give degree4_deficit.  Degree 2 checks its fibers against
     binomial-minus-HF, degrees 3 and 4 the number of b against the
     counted HF and that each b has a generator below it.
+
+    Monomials of degree <= 4d are packed into one integer each, digits
+    most significant first in radix 4d + 1, so packed order is lex order
+    and b - g_u is one subtraction.  The neighbours of u are read from
+    `lower`, which maps each packed invariant of degree (j-1)d to its
+    vertex mask {v : g_v <= it}; then lower[b - g_u] is exactly
+    {v : g_u + g_v <= b}.  The lookup is exact: for a vertex u, b - g_u
+    is a nonnegative invariant of degree (j-1)d, and `lower` holds every
+    such invariant.  For j = 3 its keys are the degree-2 fiber products,
+    which the passed check relation_count == ideal_dimension(action, 2)
+    forces to be all HF(2) invariants of degree 2d (the fibers number
+    binomial(mu_d + 1, 2) - relation_count); for j = 4 it holds the masks
+    of the whole degree-3 basis.  A miss raises InternalDiscrepancy.  A
+    graph whose lowest vertex's closed neighbourhood covers every vertex
+    is one component without a walk.
     """
     squares = fiber_partition(action)
     if squares.relation_count != ideal_dimension(action, 2):
@@ -143,37 +165,56 @@ def minimal_generators(action: CyclicAction) -> BinomialGeneratorSet:
     quadrics = [(ms[0], other)
                 for ms in squares.fibers.values() for other in ms[1:]]
     gens = squares.generators
-    index = {g: i for i, g in enumerate(gens)}
+    radix = 4 * action.d + 1
+    digits = [radix ** k for k in reversed(range(action.nvars))]
+
+    def pack(v):
+        return sum(map(mul, v, digits))
+
+    packed = [pack(g) for g in gens]
+    index = {p: i for i, p in enumerate(packed)}
     below = []  # below[k][e]: bitmask of the g with g[k] <= e
     for k in range(action.nvars):
-        masks = [0] * (4 * action.d + 1)
+        masks = [0] * radix
         for i, g in enumerate(gens):
             masks[g[k]] |= 1 << i
         below.append(list(accumulate(masks, or_)))
+    # each degree-2 product's vertices are the indices of its pairs
+    lower = {pack(p): reduce(or_, (1 << i | 1 << k for i, k in ms))
+             for p, ms in squares.fibers.items()}
 
     cubics, deficit = [], 0
     for j in (3, 4):
         basis = invariant_monomials(action, j)
         if len(basis) != count_invariants(action, j):
             raise InternalDiscrepancy(f"degree-{j} invariants miscounted")
+        found = {}  # lower of the next degree, left empty at j = 4, the last
         for b in basis:
             if not (vertices := reduce(and_, map(getitem, below, b))):
                 raise InternalDiscrepancy(f"no generator divides {b}")
-
-            def neighbours(u):
-                return reduce(and_, map(getitem, below, map(sub, b, gens[u])))
-
-            roots = _component_roots(vertices, neighbours)
-            if j == 4:
-                deficit += len(roots) - 1
-            elif len(roots) > 1:
+            pb = pack(b)
+            if j == 3:
+                found[pb] = vertices
+            low = vertices & -vertices
+            try:
+                if lower[pb - packed[low.bit_length() - 1]] | low == vertices:
+                    continue
+                roots = _component_roots(
+                    vertices, lambda u: lower[pb - packed[u]])
+                if j == 4:
+                    deficit += len(roots) - 1
+                    continue
                 leaders = []
                 for v0 in roots:
-                    adjacent = neighbours(v0)
+                    adjacent = lower[pb - packed[v0]]
                     i2 = (adjacent & -adjacent).bit_length() - 1
-                    rest = tuple(map(sub, map(sub, b, gens[v0]), gens[i2]))
+                    rest = pb - packed[v0] - packed[i2]
                     leaders.append((v0, i2, index[rest]))
-                cubics.extend((leaders[0], other) for other in leaders[1:])
+            except KeyError:
+                raise InternalDiscrepancy(
+                    f"{b} has a part missing from degree {j - 1}") from None
+            cubics.extend((leaders[0], other) for other in leaders[1:])
+        lower = found
 
     return BinomialGeneratorSet(
         generators=gens,

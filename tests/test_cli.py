@@ -13,6 +13,7 @@ import pytest
 from gt_toolkit import cli, resolution, togliatti, toricideal, verify
 from gt_toolkit.actions import (CyclicAction, format_monomial,
                                 invariant_monomials, mu_d)
+from gt_toolkit.exactalg import InternalDiscrepancy
 from gt_toolkit.hilbert import hf_closed_form, surface_profile
 from gt_toolkit.semigroups import make_hk
 
@@ -249,6 +250,62 @@ def test_graph_check_failure_exits_with_discrepancy(capsys, monkeypatch,
     assert (status, out) == (2, "")
     assert err.startswith("internal discrepancy: ")
     assert len(err.splitlines()) == 1
+
+
+def test_missing_lower_degree_product_exits_with_discrepancy(capsys,
+                                                              monkeypatch):
+    # the neighbour lookups read every degree-2 product off the fibers;
+    # one dropped fiber, with the degree-2 check patched to agree, is a
+    # miss at degree 3, never a KeyError
+    partition = toricideal.fiber_partition
+    dimension = toricideal.ideal_dimension
+
+    def dropped(action):
+        full = partition(action)
+        product = next(p for p, ms in full.fibers.items() if len(ms) > 1)
+        return replace(full, fibers={p: ms for p, ms in full.fibers.items()
+                                     if p != product})
+
+    monkeypatch.setattr(toricideal, "fiber_partition", dropped)
+    monkeypatch.setattr(toricideal, "ideal_dimension", lambda action, j: (
+        dropped(action).relation_count if j == 2 else dimension(action, j)))
+    with pytest.raises(InternalDiscrepancy, match="part missing from degree 2"):
+        toricideal.minimal_generators(CyclicAction(5, (0, 1, 3)))
+    status, out, err = run(capsys, "ideal", "5", "0,1,3")
+    assert (status, out) == (2, "")
+    assert err.startswith("internal discrepancy: ")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+def test_ideal_json_formats_no_table_text(capsys, monkeypatch):
+    calls = {"_binomial_str": 0, "format_monomial": 0}
+    for name in calls:
+        real = getattr(cli, name)
+
+        def counted(*args, real=real, name=name):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(cli, name, counted)
+    status, out, _ = run(capsys, "ideal", "6", "0,1,2,4", "--format", "json")
+    assert status == 0 and json.loads(out)["counts"]["quadrics"] > 0
+    assert calls == {"_binomial_str": 0, "format_monomial": 0}
+    # the wrappers do count: the table run formats every binomial
+    run(capsys, "ideal", "6", "0,1,2,4")
+    assert calls["_binomial_str"] > 0 and calls["format_monomial"] > 0
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (("7", "0,1,3"),
+     "9625ca47caa85c3335bea6f7f4d062b288b002c55d6b4f277c8d554e89057d8b"),
+    (("6", "0,1,2,4"),
+     "e12450b6e4d530b37e7feddcc40cbdd17db5d3ae90d8b05a0fda5bfca7bddafe"),
+])
+def test_ideal_table_bytes_are_pinned(capsys, argv, digest):
+    # the table text is built lazily; its bytes stay as before
+    status, out, _ = run(capsys, "ideal", *argv)
+    assert status == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_verify_paper(capsys):

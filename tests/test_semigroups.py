@@ -350,8 +350,8 @@ def test_scans_match_public_member_route(monkeypatch):
     level = report.stats["levels_scanned"] - 1
     assert report.status == "counterexample" and level <= 6
     assert any(len(entries) == 1 and base <= level
-               and _class_points(key, level - base, CUBIC.degree)[0]
-               > report.witness
+               and _class_points(key, exponent_vectors(3, level - base),
+                                 CUBIC.degree)[0] > report.witness
                for key, base, entries in _classes(CUBIC))
 
 
@@ -448,7 +448,8 @@ def test_lattice_points_match_orthant_filter():
             for key, base, entries in _classes(H):
                 if level < base:
                     continue
-                ws = _class_points(key, level - base, g)
+                ys = exponent_vectors(H.dim, level - base)
+                ws = _class_points(key, ys, g)
                 assert ws == sorted(ws, reverse=True), (name, key, level)
                 points += [(level, w, entries) for w in ws]
             walked += sorted(points, key=lambda p: p[1], reverse=True)
