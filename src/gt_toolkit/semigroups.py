@@ -10,9 +10,11 @@ generators, Ap(H) = {h in H | h - g*e_i is not in H for every i}.  Every
 element of H is an Apery element plus nonnegative multiples of the g*e_i,
 and Ap(H) is finite, so w lies in H exactly when some Apery element a
 with a = w (mod g) coordinatewise satisfies a <= w.  Ap(H) is built once
-per semigroup, level by level, and cached.  Each Apery element is
-re-summed from its generator indices when it is stored.  A query never
-recurses and allocates nothing that outlives it.
+per semigroup, level by level, and cached; the sums a + generator of a
+level are keyed by packed integers, and only distinct sums become
+tuples.  Each Apery element is re-summed from its generator indices
+when it is stored.  A query never recurses and allocates nothing that
+outlives it.
 
 Cohen-Macaulayness is certified through the one-dimensional test set
 
@@ -39,6 +41,7 @@ such an H always has.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import add, le, mod
 
 from .actions import (CyclicAction, ExponentVector, exponent_vectors,
                       invariant_monomials)
@@ -218,31 +221,55 @@ def _apery(H: AffineSemigroup) -> tuple[tuple[int, ...], dict]:
     Apery element of h's residue class lies below h.  Elements of one
     level never lie below each other, and a level that adds nothing ends
     the growth, since every later level would grow from it.
+
+    Most sums a + generator repeat one already formed, so each vector of
+    a level also carries a packed key, its coordinates as digits of
+    `width` bits, and a + gen is one integer addition.  The packing is
+    injective on every level the loop reaches: generator coordinates are
+    at most g < 2**g.bit_length(), so a level-L candidate's are at most
+    L*g < 2**width while L <= 2**32, and a level past that raises
+    InternalDiscrepancy.  Only the first pair (a, generator) met for each
+    packed sum, in level order and then generator order, becomes a tuple,
+    so each element keeps the decomposition, and each class the key and
+    entry order, that a tuple-keyed build finds.
     """
     cache = H._cache
     if "apery" in cache:
         return cache["apery"]
     axes = _require_axes(H)
     g = H.degree
-    steps = [(i, gen) for i, gen in enumerate(H.generators) if i not in axes]
+    width = g.bit_length() + 32
+    shifts = range(0, width * H.dim, width)
+    steps = [(sum(c << s for c, s in zip(gen, shifts)), i, gen)
+             for i, gen in enumerate(H.generators) if i not in axes]
+    gs = (g,) * H.dim
     zero = (0,) * H.dim
     apery = {zero: [(zero, ())]}
-    level = [(zero, ())]
+    level = [(0, zero, ())]
+    depth = 0
     while level:
+        depth += 1
+        if depth > 1 << 32:
+            raise InternalDiscrepancy("Apery levels outgrow the packing")
         candidates = {}
-        for a, indices in level:
-            for i, gen in steps:
-                h = tuple(x + y for x, y in zip(a, gen))
-                candidates.setdefault(h, indices + (i,))
+        for p, a, indices in level:
+            for q, i, gen in steps:
+                if p + q not in candidates:
+                    candidates[p + q] = a, indices, i, gen
         level = []
-        for h, indices in candidates.items():
-            known = apery.setdefault(tuple(c % g for c in h), [])
-            if _below(known, h) is None:
+        for p, (a, indices, i, gen) in candidates.items():
+            h = tuple(map(add, a, gen))
+            known = apery.setdefault(tuple(map(mod, h, gs)), [])
+            for e, _ in known:
+                if all(map(le, e, h)):
+                    break
+            else:
+                indices += (i,)
                 if _resum(H, indices) != h:
                     raise InternalDiscrepancy(
                         f"Apery element {h} does not re-sum")
                 known.append((h, indices))
-                level.append((h, indices))
+                level.append((p, h, indices))
     cache["apery"] = (axes, apery)
     return axes, apery
 

@@ -573,6 +573,28 @@ def test_semigroup_member_deep_query(tmp_path, capsys):
     assert total == [2819, 2747, 1934]
 
 
+def test_semigroup_member_with_big_integer_coordinates(tmp_path, capsys):
+    # the cubic set scaled by 2**64 + 1: coordinates past any machine word
+    c = 2 ** 64 + 1
+    generators = [[c * x for x in gen] for gen in
+                  ([5, 0, 0], [0, 5, 0], [0, 0, 5], [3, 1, 1], [2, 2, 1],
+                   [1, 3, 1])]
+    query = [c * x for x in (14, 10, 6)]
+    path = tmp_path / "semigroup.json"
+    path.write_text(json.dumps({"dim": 3, "generators": generators}))
+    status, out, err = run(capsys, "semigroup", str(path), "--bound", "1",
+                           "--member", ",".join(map(str, query)),
+                           "--format", "json")
+    assert status == 0 and err == ""
+    report = json.loads(out)
+    answer = report["member_query"]
+    assert answer["member"] is True
+    gens = report["semigroup"]["generators"]
+    total = [sum(gens[i][k] for i in answer["decomposition"])
+             for k in range(3)]
+    assert total == query
+
+
 def test_classify_ranks_once(capsys, monkeypatch):
     # classify() already runs the WLP rank test; the CLI reuses its result
     calls = []

@@ -467,6 +467,65 @@ def test_point_test_matches_below_on_point_and_translates():
             assert _point_test(entries, w, g) == (in_h, translates), (name, w)
 
 
+def _tuple_keyed_apery(H):
+    """Ap(H) built with every sum a + generator formed as a tuple and
+    keyed by itself, the first pair kept for each sum."""
+    axes = H.axis_generator_indices()
+    g = H.degree
+    steps = [(i, gen) for i, gen in enumerate(H.generators) if i not in axes]
+    zero = (0,) * H.dim
+    apery = {zero: [(zero, ())]}
+    level = [(zero, ())]
+    while level:
+        candidates = {}
+        for a, indices in level:
+            for i, gen in steps:
+                h = tuple(x + y for x, y in zip(a, gen))
+                candidates.setdefault(h, indices + (i,))
+        level = []
+        for h, indices in candidates.items():
+            known = apery.setdefault(tuple(c % g for c in h), [])
+            if _below(known, h) is None:
+                known.append((h, indices))
+                level.append((h, indices))
+    return axes, apery
+
+
+def test_apery_matches_tuple_keyed_build_in_order():
+    # same classes, key order, entry order and generator indices, so every
+    # member decomposition and report stays as the tuple-keyed build gives
+    named = _scan_test_semigroups()
+    named.update((f"random {i}", H) for i, H
+                 in enumerate(_random_multi_class_sets(20, 12)))
+    named.update((f"h3t({t})", make_h3t(t)) for t in range(5, 11))
+    named["hk(4,3)"] = make_hk(4, 3)
+    for d, weights in ((8, (0, 1, 2, 3, 5)), (10, (0, 1, 2, 3))):
+        named[d, weights] = semigroup_of_action(CyclicAction(d, weights))
+    for name, H in named.items():
+        axes, apery = _apery(H)
+        expected_axes, expected = _tuple_keyed_apery(H)
+        assert axes == expected_axes, name
+        assert list(apery.items()) == list(expected.items()), name
+
+
+def test_apery_of_a_big_integer_multiple():
+    # coordinates far past any machine word: Ap(c*H) = c*Ap(H), entry by
+    # entry, with the same indices in the same order
+    c = 2 ** 64 + 1
+    for H in (CUBIC, make_h3t(3),
+              semigroup_of_action(CyclicAction(5, (0, 1, 3)))):
+        scaled = AffineSemigroup.from_generators(
+            [tuple(c * x for x in gen) for gen in H.generators])
+        axes, apery = _apery(H)
+        expected = [(tuple(c * r for r in key),
+                     [(tuple(c * x for x in a), indices)
+                      for a, indices in entries])
+                    for key, entries in apery.items()]
+        scaled_axes, scaled_apery = _apery(scaled)
+        assert scaled_axes == axes
+        assert list(scaled_apery.items()) == expected
+
+
 def test_is_normal_up_to():
     report = is_normal_up_to(make_h3t(2), 3)
     assert not report.normal_up_to_bound
