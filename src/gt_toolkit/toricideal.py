@@ -1,32 +1,32 @@
 """Low-degree graded pieces of the toric ideal of a GT-variety.
 
-Pairs of generators are grouped by their product monomial; two pairs
-in the same fiber give a quadric in the ideal, and the degree-2 piece
-has one dimension per fiber member beyond the first.  The minimal
-generators follow the Markov-basis view of Diaconis and Sturmfels.  In
-the fiber of a degree-j monomial, join two multisets A and B of j
-generators when they share a generator index v: A - v and B - v then
-lie in one lower-degree fiber, so A - B is v times a lower-degree
-binomial.  The minimal generators in multidegree b number the
-components of this fiber graph minus one, and the generators alone give
-them: join u and v when g_u + g_v <= b.  That is exact, as every
+The minimal generators follow the Markov-basis view of Diaconis and
+Sturmfels.  In the fiber of a degree-j monomial b, join two multisets A
+and B of j generators when they share a generator index v: A - v and
+B - v then lie in one lower-degree fiber, so A - B is v times a
+lower-degree binomial.  The minimal generators in multidegree b number
+the components of this fiber graph minus one, and the generators alone
+give them: join u and v when g_u + g_v <= b.  That is exact, as every
 invariant of degree t*d is a product of t generators
 (actions.egz_factor): each g_v <= b and each such pair is in a multiset.
 
-The graphs read their edges from a table: monomials are packed into
-one integer each, lex order kept, and the vertices joined to u in b's
-graph are the vertex mask of the packed b - g_u, one degree lower.  The
-degree-2 fibers give that table for degree 3 and the degree-3 basis for
-degree 4; both hold every invariant of their degree, so a lookup never
-misses unless a cross-check has already failed.
+So the degree-t invariants are exactly the t-fold generator sums, and
+minimal_generators builds degrees 1 to 4 by one closure over packed
+monomials: each degree's sums, with the generators below each, come
+from the previous degree's by adding one generator.  Each graph reads
+its edges from the table one degree down, which holds every key looked
+up.
+
+fiber_partition and ideal_dimension are a second route for degree 2,
+independent of the closure: generator pairs grouped by their product as
+a tuple, and the dimension from the counted mu_d and HF(2).
+verify-paper and the tests compare the closure against them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from itertools import accumulate
-from operator import add, and_, getitem, mul, or_
+from operator import add, mul
 
 from .actions import (CyclicAction, ExponentVector, count_invariants,
                       invariant_monomials, mu_d)
@@ -53,7 +53,10 @@ def fiber_partition(action: CyclicAction) -> FiberPartition:
     """Group the generator pairs (i, k), i <= k, by the sum g_i + g_k.
 
     Pairs come out lex ascending within each fiber, and the fibers are
-    ordered lex descending by product.
+    ordered lex descending by product, the order of minimal_generators'
+    quadrics.  The products are tuple keys on purpose: this is the
+    degree-2 route that shares no packing, table or graph walk with
+    minimal_generators, which verify-paper and the tests compare it to.
     """
     gens = invariant_monomials(action, 1)
     groups: dict = {}
@@ -67,8 +70,9 @@ def fiber_partition(action: CyclicAction) -> FiberPartition:
 def ideal_dimension(action: CyclicAction, j: int) -> int:
     """dim of the degree-j piece: binomial(mu_d+j-1, j) minus HF(j).
 
-    Both mu_d and HF(j) are counted, never enumerated, so the check
-    against a fiber partition does not reuse the generator list it groups.
+    Both mu_d and HF(j) are counted, never enumerated, so comparing it
+    with a fiber partition, or with the quadrics of minimal_generators,
+    does not reuse the generator list either one is built from.
     """
     if j < 0:
         raise ValueError("degree must be nonnegative")
@@ -133,92 +137,72 @@ def _component_roots(vertices: int, neighbours) -> list[int]:
 def minimal_generators(action: CyclicAction) -> BinomialGeneratorSet:
     """Explicit minimal generators of the toric ideal through degree 3.
 
-    Quadrics pair each degree-2 fiber's least multiset with every other.
-    Each invariant b of degree 3d or 4d gets its generator graph: the
-    g_v <= b, joined when g_u + g_v <= b, which is exact as b - g_u - g_v
-    factors into generators (egz_factor).  For b lex descending, a cubic
-    pairs the least multiset (v0, lowest neighbour i2 of v0, rest of b)
-    of b's first component with that of every other; the degree-4
-    components give degree4_deficit.  Degree 2 checks its fibers against
-    binomial-minus-HF, degrees 3 and 4 the number of b against the
-    counted HF and that each b has a generator below it.
+    Only the generators are enumerated.  Monomials of degree <= 4d are
+    packed into one integer each, digits most significant first in radix
+    4d + 1, so packed order is lex order and a sum is one addition.  One
+    closure builds tables[j], j = 1 to 4, from tables[j - 1] and
+    tables[0] = {0: 0}: each key p and generator u give the key p + g_u,
+    whose mask gains the bit u.  So tables[j] maps each j-fold generator
+    sum b to V(b) = {u : b - g_u is a key of tables[j - 1]}.  By
+    egz_factor the keys are all the degree-jd invariants, so
+    V(b) = {u : g_u <= b}.  Each table's size is checked against
+    count_invariants, which counts those invariants without enumerating
+    them; at j = 1 it is checked against the generators too, as two
+    copies would share a key.
 
-    Monomials of degree <= 4d are packed into one integer each, digits
-    most significant first in radix 4d + 1, so packed order is lex order
-    and b - g_u is one subtraction.  The neighbours of u are read from
-    `lower`, which maps each packed invariant of degree (j-1)d to its
-    vertex mask {v : g_v <= it}; then lower[b - g_u] is exactly
-    {v : g_u + g_v <= b}.  The lookup is exact: for a vertex u, b - g_u
-    is a nonnegative invariant of degree (j-1)d, and `lower` holds every
-    such invariant.  For j = 3 its keys are the degree-2 fiber products,
-    which the passed check relation_count == ideal_dimension(action, 2)
-    forces to be all HF(2) invariants of degree 2d (the fibers number
-    binomial(mu_d + 1, 2) - relation_count); for j = 4 it holds the masks
-    of the whole degree-3 basis.  A miss raises InternalDiscrepancy.  A
-    graph whose lowest vertex's closed neighbourhood covers every vertex
-    is one component without a walk.
+    b's graph joins u and v in V(b) when g_u + g_v <= b, that is when v
+    is in the mask of b - g_u.  For b lex descending, each component is
+    led by its least multiset, read down the lower tables: its least
+    vertex, then the least vertex below what remains, one degree at a
+    time.  Every leader after the first is paired with the first.  At
+    j = 2 a component is one pair, which gives the quadrics in
+    fiber_partition's order; j = 3 gives the cubics and j = 4 the
+    degree4_deficit.  A graph whose lowest vertex's closed neighbourhood
+    covers every vertex is one component without a walk.
+
+    No lookup can miss.  For u in V(b), b - g_u is a key by construction.
+    For a neighbour v of u, b - g_v = g_u + (b - g_u - g_v), and
+    b - g_u - g_v is a key one degree down, so b - g_v is a sum the
+    closure built.  Each remainder of a leader is a key the same way.
     """
-    squares = fiber_partition(action)
-    if squares.relation_count != ideal_dimension(action, 2):
-        raise InternalDiscrepancy(
-            f"degree-2 fiber differences do not span for {action}")
-    quadrics = [(ms[0], other)
-                for ms in squares.fibers.values() for other in ms[1:]]
-    gens = squares.generators
+    gens = invariant_monomials(action, 1)
     radix = 4 * action.d + 1
     digits = [radix ** k for k in reversed(range(action.nvars))]
-
-    def pack(v):
-        return sum(map(mul, v, digits))
-
-    packed = [pack(g) for g in gens]
-    index = {p: i for i, p in enumerate(packed)}
-    below = []  # below[k][e]: bitmask of the g with g[k] <= e
-    for k in range(action.nvars):
-        masks = [0] * radix
-        for i, g in enumerate(gens):
-            masks[g[k]] |= 1 << i
-        below.append(list(accumulate(masks, or_)))
-    # each degree-2 product's vertices are the indices of its pairs
-    lower = {pack(p): reduce(or_, (1 << i | 1 << k for i, k in ms))
-             for p, ms in squares.fibers.items()}
-
-    cubics, deficit = [], 0
-    for j in (3, 4):
-        basis = invariant_monomials(action, j)
-        if len(basis) != count_invariants(action, j):
+    packed = [sum(map(mul, g, digits)) for g in gens]
+    bits = [(g, 1 << u) for u, g in enumerate(packed)]
+    tables = [{0: 0}]
+    relations = [[] for _ in range(5)]  # relations[j]: degree-j pairs
+    for j in range(1, 5):
+        lower, found = tables[-1], {}
+        for p in lower:
+            for g, bit in bits:
+                q = p + g
+                found[q] = found.get(q, 0) | bit
+        if len(found) != count_invariants(action, j) or len(found) < len(gens):
             raise InternalDiscrepancy(f"degree-{j} invariants miscounted")
-        found = {}  # lower of the next degree, left empty at j = 4, the last
-        for b in basis:
-            if not (vertices := reduce(and_, map(getitem, below, b))):
-                raise InternalDiscrepancy(f"no generator divides {b}")
-            pb = pack(b)
-            if j == 3:
-                found[pb] = vertices
+        tables.append(found)
+        for b in sorted(found, reverse=True):
+            vertices = found[b]
             low = vertices & -vertices
-            try:
-                if lower[pb - packed[low.bit_length() - 1]] | low == vertices:
-                    continue
-                roots = _component_roots(
-                    vertices, lambda u: lower[pb - packed[u]])
-                if j == 4:
-                    deficit += len(roots) - 1
-                    continue
-                leaders = []
-                for v0 in roots:
-                    adjacent = lower[pb - packed[v0]]
-                    i2 = (adjacent & -adjacent).bit_length() - 1
-                    rest = pb - packed[v0] - packed[i2]
-                    leaders.append((v0, i2, index[rest]))
-            except KeyError:
-                raise InternalDiscrepancy(
-                    f"{b} has a part missing from degree {j - 1}") from None
-            cubics.extend((leaders[0], other) for other in leaders[1:])
-        lower = found
+            if lower[b - packed[low.bit_length() - 1]] | low == vertices:
+                continue
+            roots = _component_roots(vertices,
+                                     lambda u: lower[b - packed[u]])
+            if len(roots) == 1:
+                continue
+            leaders = []
+            for v in roots:
+                leader, rest = [v], b - packed[v]
+                for table in reversed(tables[1:j]):
+                    least = table[rest] & -table[rest]
+                    leader.append(least.bit_length() - 1)
+                    rest -= packed[leader[-1]]
+                leaders.append(tuple(leader))
+            relations[j].extend((leaders[0], other) for other in leaders[1:])
 
     return BinomialGeneratorSet(
         generators=gens,
-        quadrics=tuple(quadrics),
-        cubics=tuple(cubics),
-        degree4_deficit=deficit,
+        quadrics=tuple(relations[2]),
+        cubics=tuple(relations[3]),
+        degree4_deficit=len(relations[4]),
     )

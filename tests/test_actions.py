@@ -131,6 +131,31 @@ def test_every_module_level_definition_is_used():
               if name not in named and name != "main"]
     assert unused == []
 
+
+def test_every_imported_name_is_read():
+    # an imported name that its module never reads is a leftover of an
+    # edit; __init__ imports to re-export, and __future__ imports switch
+    # on features, so neither is read
+    paths = [path for path in Path(gt_toolkit.__file__).parent.glob("*.py")
+             if path.name != "__init__.py"]
+    assert len(paths) > 5
+    unread = []
+    for path in sorted(paths):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        imported = [(alias.asname or alias.name.partition(".")[0],
+                     node.lineno)
+                    for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    for alias in node.names]
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)
+                and isinstance(node.ctx, ast.Load)}
+        unread += [f"{path.name}:{line} {name}" for name, line in imported
+                   if name not in read]
+    assert unread == []
+
+
 def test_invariant_monomials_goldens():
     got = invariant_monomials(CyclicAction(5, (0, 1, 3)), 1)
     assert set(got) == {(5, 0, 0), (0, 5, 0), (0, 0, 5), (2, 2, 1), (1, 1, 3)}

@@ -4,7 +4,8 @@ from operator import add
 
 import pytest
 
-from gt_toolkit.actions import CyclicAction, invariant_monomials
+from gt_toolkit import toricideal
+from gt_toolkit.actions import CyclicAction, invariant_monomials, mu_d
 from gt_toolkit.exactalg import integer_rank
 from gt_toolkit.hilbert import surface_profile
 from gt_toolkit.resolution import betti_table, generator_counts
@@ -271,10 +272,17 @@ def action_classes(nvars, max_d):
 def test_generator_graph_matches_multiset_route():
     # second route: the multiset fibers the generator graph replaces, on
     # 3 variables through d = 16 and 4 through d = 7, which reach into
-    # the strata the benchmark's ideal workload times.  No action found
-    # so far has a degree-4 deficit, so the disconnected degree-4 branch
-    # is reached only through the component walk degree 3 shares with it.
+    # the strata the benchmark's ideal workload times, 2 variables
+    # through d = 30, and 5 and 6 variables at d <= 4 and 3, where every
+    # action repeats a weight; at most 26 generators keep the multiset
+    # route cheap there.  No action found so far has a degree-4 deficit, so
+    # the disconnected degree-4 branch is reached only through the
+    # component walk it shares with degrees 2 and 3.
+    small = [action for action in (*action_classes(5, 4),
+                                   *action_classes(6, 3))
+             if mu_d(action) <= 26]
     actions = [*action_classes(3, 16), *action_classes(4, 7),
+               *action_classes(2, 30), *small,
                CyclicAction(5, (0, 1, 2, 3, 4))]
     for action in actions:
         assert minimal_generators(action).to_dict() == \
@@ -364,6 +372,30 @@ def test_minimal_generators_to_dict_goldens():
     for (d, weights), expected in GENERATOR_GOLDENS.items():
         got = minimal_generators(CyclicAction(d, weights)).to_dict()
         assert got == expected, (d, weights)
+
+
+def test_minimal_generators_enumerates_only_the_generators(monkeypatch):
+    # one closure builds every degree from the generators: no basis of a
+    # higher degree is enumerated, and the tuple-keyed degree-2 route
+    # stays a separate check, not a step of the computation
+    calls = {"invariant_monomials": [], "fiber_partition": [],
+             "ideal_dimension": []}
+    for name, seen in calls.items():
+        real = getattr(toricideal, name)
+
+        def counted(action, *rest, real=real, seen=seen):
+            seen.append(rest)
+            return real(action, *rest)
+
+        monkeypatch.setattr(toricideal, name, counted)
+    for action in (CyclicAction(5, (0, 1, 3)), CyclicAction(4, (0, 1, 2, 3))):
+        minimal_generators(action)
+    assert calls == {"invariant_monomials": [(1,), (1,)],
+                     "fiber_partition": [], "ideal_dimension": []}
+    # the wrappers do count: the degree-2 route goes through them
+    assert toricideal.fiber_partition(CyclicAction(5, (0, 1, 3))).fibers
+    assert calls["fiber_partition"] == [()]
+    assert calls["invariant_monomials"][-1] == (1,)
 
 
 def test_threefold_runs_with_marker():
