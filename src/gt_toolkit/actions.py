@@ -142,24 +142,27 @@ def invariant_monomials(action: CyclicAction,
     w = action.weights
     n = action.n
     # y + y_n = rest and (w_{n-1} - w_n)*y = -wsum - w_n*rest (mod d)
-    step, first = _congruence(w[n - 1] - w[n], d)
+    g, step, inverse = _congruence(w[n - 1] - w[n], d)
     out = []
     for prefix, rest, wsum in _compositions(w[:n - 1], t * d):
-        y0 = first.get((-wsum - w[n] * rest) % d)
-        if y0 is None:
+        c = -wsum - w[n] * rest
+        if c % g:
             continue
+        y0 = c // g * inverse % step
         # the largest y <= rest in the class of y0, down to y0
         for y in range(rest - (rest - y0) % step, -1, -step):
             out.append(prefix + (y, rest - y))
     return tuple(out)
 
 
-def _congruence(a: int, mod: int) -> tuple[int, dict[int, int]]:
-    """(step, first): a*y = c (mod mod) exactly when y = first[c]
-    (mod step), with 0 <= first[c] < step; no solution when c is not a
-    key.  Built once per call of its caller, not once per prefix."""
-    step = mod // math.gcd(a, mod)
-    return step, {a * y % mod: y for y in range(step)}
+def _congruence(a: int, mod: int) -> tuple[int, int, int]:
+    """(g, step, inverse): a*y = c (mod mod) has a solution exactly when g
+    divides c, and then exactly when y = (c/g)*inverse (mod step), where
+    g = gcd(a, mod), step = mod/g and inverse is that of a/g mod step.
+    O(1) memory, however large mod is."""
+    g = math.gcd(a, mod)
+    step = mod // g
+    return g, step, pow(a // g, -1, step)
 
 
 def count_invariants(action: CyclicAction, t: int) -> int:
@@ -173,11 +176,14 @@ def count_invariants(action: CyclicAction, t: int) -> int:
     d = action.d
     w = action.weights
     # y0 + y1 = rest and (w1 - w0)*y1 = -wsum - w0*rest (mod d)
-    step, first = _congruence(w[1] - w[0], d)
+    g, step, inverse = _congruence(w[1] - w[0], d)
     count = 0
     for _, rest, wsum in _compositions(w[2:], t * d):
-        y1 = first.get((-wsum - w[0] * rest) % d)
-        if y1 is not None and y1 <= rest:
+        c = -wsum - w[0] * rest
+        if c % g:
+            continue
+        y1 = c // g * inverse % step
+        if y1 <= rest:
             count += (rest - y1) // step + 1
     return count
 

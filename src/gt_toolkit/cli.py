@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 1 usage or input error, 2 a computation finished
 but carries a flagged internal discrepancy or an internal cross-check
-failed, 3 a verification check failed.  Output is deterministic:
+failed, 3 a verification check failed, 4 out of memory: a valid input
+whose computation or report does not fit in the memory the process may
+use.  Output is deterministic:
 identical inputs give byte-identical output in both table and JSON
 formats.  Each command returns its report and its table lines; `ideal`
 yields its lines lazily, so its table text is built only for table
@@ -33,7 +35,7 @@ from .togliatti import classify
 from .toricideal import minimal_generators
 from .verify import run_reference_checks
 
-OK, USAGE_ERROR, DISCREPANCY, CHECK_FAILED = 0, 1, 2, 3
+OK, USAGE_ERROR, DISCREPANCY, CHECK_FAILED, OUT_OF_MEMORY = 0, 1, 2, 3, 4
 # action files nest 2 levels and semigroup files 3
 JSON_MAX_DEPTH = 64
 
@@ -407,16 +409,23 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         report, lines, status = _COMMANDS[args.command](args)
+        if args.format == "json":
+            text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+        else:
+            text = "\n".join(lines) + "\n"
     except (_UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except InternalDiscrepancy as exc:
         print(f"internal discrepancy: {exc}", file=sys.stderr)
         return DISCREPANCY
-    if args.format == "json":
-        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    else:
-        text = "\n".join(lines) + "\n"
+    except MemoryError:
+        text = None
+    if text is None:
+        # reported only here, where the traceback and the data its frames
+        # held are freed, so that the report has memory to be written
+        print("error: out of memory", file=sys.stderr)
+        return OUT_OF_MEMORY
     if args.output is not None:
         try:
             with open(args.output, "w", encoding="utf-8") as fh:

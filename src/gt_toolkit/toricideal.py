@@ -26,6 +26,7 @@ verify-paper and the tests compare the closure against them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from operator import add, mul
 
 from .actions import (CyclicAction, ExponentVector, count_invariants,
@@ -116,14 +117,20 @@ class BinomialGeneratorSet:
         }
 
 
-def _component_roots(vertices: int, neighbours) -> list[int]:
+def _component_roots(vertices: int, neighbours, near: int | None = None
+                     ) -> list[int]:
     """Least vertex of each component, ascending, of the graph on the bits
-    of vertices; neighbours(u) is the bitmask of u's neighbours.  Flood
+    of vertices; neighbours(u) is the bitmask of u's neighbours.  near,
+    when given, is the lowest vertex's closed neighbourhood, which the
+    caller has already looked up: the first fill starts from it.  Flood
     fill over a bitmask frontier: a loop, never recursion."""
     roots = []
     while vertices:
-        component = frontier = vertices & -vertices
-        roots.append(component.bit_length() - 1)
+        low = vertices & -vertices
+        roots.append(low.bit_length() - 1)
+        component = frontier = low
+        if near is not None:
+            component, frontier, near = near, near ^ low, None
         while frontier and component != vertices:
             bit = frontier & -frontier
             frontier ^= bit
@@ -141,14 +148,23 @@ def minimal_generators(action: CyclicAction) -> BinomialGeneratorSet:
     packed into one integer each, digits most significant first in radix
     4d + 1, so packed order is lex order and a sum is one addition.  One
     closure builds tables[j], j = 1 to 4, from tables[j - 1] and
-    tables[0] = {0: 0}: each key p and generator u give the key p + g_u,
-    whose mask gains the bit u.  So tables[j] maps each j-fold generator
-    sum b to V(b) = {u : b - g_u is a key of tables[j - 1]}.  By
-    egz_factor the keys are all the degree-jd invariants, so
-    V(b) = {u : g_u <= b}.  Each table's size is checked against
-    count_invariants, which counts those invariants without enumerating
-    them; at j = 1 it is checked against the generators too, as two
-    copies would share a key.
+    tables[0] = {0: 0}, mapping each j-fold generator sum b to
+    V(b) = {u : b - g_u is a key of tables[j - 1]}.  By egz_factor the
+    keys are all the degree-jd invariants, so V(b) = {u : g_u <= b}.
+    Each table's size is checked against count_invariants, which counts
+    those invariants without enumerating them; at j = 1 it is checked
+    against the generators too, as two copies would share a key.
+
+    The closure builds each generator multiset once, largest index last.
+    Call the least largest index over a key's multisets its rank.  For
+    u ascending, u meets the keys p of tables[j - 1] of rank <= u, and
+    p + g_u gains p's mask and the bit u.  The first u to reach a key is
+    its rank, so keys enter a table in rank order, and the keys of rank
+    <= u are a prefix whose length ends[u] records as the table is
+    built.  Every key is reached: a multiset of b with largest index u
+    leaves b - g_u of rank <= u.  Every mask is exact: for w in V(b),
+    take a multiset of b containing w, with largest index u; the pair
+    (b - g_u, u) is visited, and w is u or in the mask of b - g_u.
 
     b's graph joins u and v in V(b) when g_u + g_v <= b, that is when v
     is in the mask of b - g_u.  For b lex descending, each component is
@@ -156,39 +172,62 @@ def minimal_generators(action: CyclicAction) -> BinomialGeneratorSet:
     vertex, then the least vertex below what remains, one degree at a
     time.  Every leader after the first is paired with the first.  At
     j = 2 a component is one pair, which gives the quadrics in
-    fiber_partition's order; j = 3 gives the cubics and j = 4 the
-    degree4_deficit.  A graph whose lowest vertex's closed neighbourhood
-    covers every vertex is one component without a walk.
+    fiber_partition's order, and j = 3 gives the cubics.  The degree-4
+    graphs are only counted, the components minus one summed into
+    degree4_deficit, so they are visited unsorted and no leader is read.
 
-    No lookup can miss.  For u in V(b), b - g_u is a key by construction.
-    For a neighbour v of u, b - g_v = g_u + (b - g_u - g_v), and
-    b - g_u - g_v is a key one degree down, so b - g_v is a sum the
-    closure built.  Each remainder of a leader is a key the same way.
+    A graph is one component without a walk when its lowest vertex's
+    closed neighbourhood, near, covers every vertex, or when near meets
+    the highest vertex's closed neighbourhood, far, and the two cover
+    every vertex: each vertex is then joined to the lowest or to the
+    highest, and a vertex of both neighbourhoods joins those two.
+    Otherwise the walk starts from near.
+
+    No lookup can miss.  For u in V(b), b - g_u is a key of tables[j - 1]
+    by the definition of V(b).  For a neighbour v of u,
+    b - g_v = g_u + (b - g_u - g_v), and b - g_u - g_v is a key one
+    degree further down, so b - g_v is a sum of one more generator,
+    which the closure reached.  Each remainder of a leader is a key the
+    same way.
     """
     gens = invariant_monomials(action, 1)
     radix = 4 * action.d + 1
     digits = [radix ** k for k in reversed(range(action.nvars))]
     packed = [sum(map(mul, g, digits)) for g in gens]
-    bits = [(g, 1 << u) for u, g in enumerate(packed)]
     tables = [{0: 0}]
-    relations = [[] for _ in range(5)]  # relations[j]: degree-j pairs
+    # ends[u]: the number of keys of rank <= u in the table below, read
+    # for it and then rewritten for the table being built; tables[0]'s
+    # one key, the empty sum, meets every generator
+    ends = [1] * len(gens)
+    relations = [[] for _ in range(4)]  # relations[j]: degree-j pairs
+    deficit = 0
     for j in range(1, 5):
         lower, found = tables[-1], {}
-        for p in lower:
-            for g, bit in bits:
+        for u, (g, end) in enumerate(zip(packed, ends)):
+            bit = 1 << u
+            for p, mask in islice(lower.items(), end):
                 q = p + g
-                found[q] = found.get(q, 0) | bit
+                found[q] = found.get(q, 0) | mask | bit
+            ends[u] = len(found)
         if len(found) != count_invariants(action, j) or len(found) < len(gens):
             raise InternalDiscrepancy(f"degree-{j} invariants miscounted")
         tables.append(found)
-        for b in sorted(found, reverse=True):
+        for b in sorted(found, reverse=True) if j < 4 else found:
             vertices = found[b]
             low = vertices & -vertices
-            if lower[b - packed[low.bit_length() - 1]] | low == vertices:
+            near = lower[b - packed[low.bit_length() - 1]] | low
+            if near == vertices:
+                continue
+            high = vertices.bit_length() - 1
+            far = lower[b - packed[high]] | 1 << high
+            if near & far and near | far == vertices:
                 continue
             roots = _component_roots(vertices,
-                                     lambda u: lower[b - packed[u]])
+                                     lambda u: lower[b - packed[u]], near)
             if len(roots) == 1:
+                continue
+            if j == 4:
+                deficit += len(roots) - 1
                 continue
             leaders = []
             for v in roots:
@@ -204,5 +243,5 @@ def minimal_generators(action: CyclicAction) -> BinomialGeneratorSet:
         generators=gens,
         quadrics=tuple(relations[2]),
         cubics=tuple(relations[3]),
-        degree4_deficit=len(relations[4]),
+        degree4_deficit=deficit,
     )

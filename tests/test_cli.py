@@ -521,6 +521,28 @@ def test_surface_reports_pin_invariants_and_closed_form(capsys):
                 assert json.loads(out)["betti"]["mu_d"] == counted, (a, b, d)
 
 
+def test_out_of_memory_is_one_error_line():
+    # only the child runs under the cap: 64 MiB of address space, about
+    # three times what the interpreter and the package take.  The degree
+    # 300000 invariants of d = 3 number about 1.5e10, so listing them
+    # reaches the cap within a second or two.
+    resource = pytest.importorskip("resource")
+    cap = 64 << 20
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-m", "gt_toolkit.cli",
+                           "invariants", "3", "0,1,2", "--t", "100000"],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=src),
+                          preexec_fn=limit)
+    assert done.returncode == cli.OUT_OF_MEMORY == 4
+    assert (done.stdout, done.stderr) == ("", "error: out of memory\n")
+    assert "| 4    | out of memory" in README.read_text(encoding="utf-8")
+
+
 def test_readme_hilbert_example_is_verbatim(capsys):
     prompt = "$ gt-toolkit hilbert 1 3 6 --t 3\n"
     text = README.read_text(encoding="utf-8")

@@ -168,6 +168,12 @@ def _incidence_rank(rows, gens):
     return total
 
 
+def _shifts(pairs, size):
+    """Each binomial of pairs times each of the size generator variables."""
+    return [(tuple(sorted(lhs + (var,))), tuple(sorted(rhs + (var,))))
+            for lhs, rhs in pairs for var in range(size)]
+
+
 def test_fiber_components_match_dense_rank():
     # second route for every count minimal_generators derives from fiber
     # components: the ranks of the spans the components stand for
@@ -179,8 +185,7 @@ def test_fiber_components_match_dense_rank():
         gens = result.generators
 
         def shifts(pairs):
-            return [(tuple(sorted(lhs + (var,))), tuple(sorted(rhs + (var,))))
-                    for lhs, rhs in pairs for var in range(len(gens))]
+            return _shifts(pairs, len(gens))
 
         differences = [(ms[0], other)
                        for ms in _multiset_fibers(action, 3).values()
@@ -195,6 +200,21 @@ def test_fiber_components_match_dense_rank():
         assert _incidence_rank(products + list(result.cubics), gens) == dim3
         assert ideal_dimension(action, 4) - dense[2] == \
             result.degree4_deficit, (d, weights)
+
+
+def test_cubic_count_from_the_rank_of_quadric_multiples():
+    # a second route to the cubic count of every surface with d <= 12:
+    # the quadrics times each generator span a subspace of I_3 of exact
+    # rank rho, and the cubics are what I_3 needs beyond it
+    surfaces = list(surface_actions(12))
+    assert len(surfaces) == 196
+    for a, b, d in surfaces:
+        action = CyclicAction(d, (0, a, b))
+        result = minimal_generators(action)
+        gens = result.generators
+        rho = _incidence_rank(_shifts(result.quadrics, len(gens)), gens)
+        assert ideal_dimension(action, 3) - rho == len(result.cubics), \
+            (a, b, d)
 
 
 def test_component_walk_is_iterative():
@@ -216,6 +236,19 @@ def test_component_walk_is_iterative():
     assert _component_roots(0b111111, lambda u: sum(
         1 << v for v in edges[u])) == [0, 1]
     assert _component_roots(0, path) == []
+
+    # seeded with the lowest vertex's closed neighbourhood, the first
+    # fill starts from it and never looks that vertex up again
+    looked_up = []
+
+    def recorded(u):
+        looked_up.append(u)
+        return sum(1 << v for v in edges[u])
+
+    assert _component_roots(0b111111, recorded, 0b1001) == [0, 1]
+    assert looked_up and 0 not in looked_up
+    assert _component_roots(vertices, pairs, 0b11) == \
+        list(range(0, size, 2))
 
 
 def _multiset_route(action):
@@ -289,6 +322,18 @@ def test_generator_graph_matches_multiset_route():
             _multiset_route(action).to_dict(), action
         assert list(fiber_partition(action).fibers.items()) == \
             list(_multiset_fibers(action, 2).items()), action
+
+
+def test_split_graph_is_not_taken_for_connected():
+    # with a repeated weight in these places, one degree-3 graph is two
+    # components: the closed neighbourhoods of its lowest and its highest
+    # vertex, disjoint and covering every vertex.  The canonical weights
+    # of the same classes, (0, 0, 1, 2) and (0, 0, 1, 4), give no such
+    # graph, so the class sweep above misses it.
+    for action in (CyclicAction(3, (0, 1, 0, 2)),
+                   CyclicAction(5, (0, 1, 0, 4))):
+        assert minimal_generators(action).to_dict() == \
+            _multiset_route(action).to_dict(), action
 
 
 # minimal_generators(...).to_dict() as the earlier shifted-row span route
