@@ -117,30 +117,6 @@ class BinomialGeneratorSet:
         }
 
 
-def _component_roots(vertices: int, neighbours, near: int | None = None
-                     ) -> list[int]:
-    """Least vertex of each component, ascending, of the graph on the bits
-    of vertices; neighbours(u) is the bitmask of u's neighbours.  near,
-    when given, is the lowest vertex's closed neighbourhood, which the
-    caller has already looked up: the first fill starts from it.  Flood
-    fill over a bitmask frontier: a loop, never recursion."""
-    roots = []
-    while vertices:
-        low = vertices & -vertices
-        roots.append(low.bit_length() - 1)
-        component = frontier = low
-        if near is not None:
-            component, frontier, near = near, near ^ low, None
-        while frontier and component != vertices:
-            bit = frontier & -frontier
-            frontier ^= bit
-            fresh = neighbours(bit.bit_length() - 1) & ~component
-            component |= fresh
-            frontier |= fresh
-        vertices &= ~component
-    return roots
-
-
 def minimal_generators(action: CyclicAction) -> BinomialGeneratorSet:
     """Explicit minimal generators of the toric ideal through degree 3.
 
@@ -176,12 +152,9 @@ def minimal_generators(action: CyclicAction) -> BinomialGeneratorSet:
     graphs are only counted, the components minus one summed into
     degree4_deficit, so they are visited unsorted and no leader is read.
 
-    A graph is one component without a walk when its lowest vertex's
-    closed neighbourhood, near, covers every vertex, or when near meets
-    the highest vertex's closed neighbourhood, far, and the two cover
-    every vertex: each vertex is then joined to the lowest or to the
-    highest, and a vertex of both neighbourhoods joins those two.
-    Otherwise the walk starts from near.
+    Each component is one bitmask flood fill from the lowest remaining
+    vertex.  Any expansion order gives the same components; the highest
+    frontier vertex goes first, as that order needs the fewest lookups.
 
     No lookup can miss.  For u in V(b), b - g_u is a key of tables[j - 1]
     by the definition of V(b).  For a neighbour v of u,
@@ -213,17 +186,18 @@ def minimal_generators(action: CyclicAction) -> BinomialGeneratorSet:
             raise InternalDiscrepancy(f"degree-{j} invariants miscounted")
         tables.append(found)
         for b in sorted(found, reverse=True) if j < 4 else found:
-            vertices = found[b]
-            low = vertices & -vertices
-            near = lower[b - packed[low.bit_length() - 1]] | low
-            if near == vertices:
-                continue
-            high = vertices.bit_length() - 1
-            far = lower[b - packed[high]] | 1 << high
-            if near & far and near | far == vertices:
-                continue
-            roots = _component_roots(vertices,
-                                     lambda u: lower[b - packed[u]], near)
+            vertices, roots = found[b], []
+            while vertices:
+                low = vertices & -vertices
+                roots.append(low.bit_length() - 1)
+                component = frontier = low
+                while frontier and component != vertices:
+                    u = frontier.bit_length() - 1
+                    frontier ^= 1 << u
+                    fresh = lower[b - packed[u]] & ~component
+                    component |= fresh
+                    frontier |= fresh
+                vertices &= ~component
             if len(roots) == 1:
                 continue
             if j == 4:

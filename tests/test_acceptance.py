@@ -13,7 +13,6 @@ of weakening the check.
 
 import json
 import time
-from math import gcd
 
 from gt_toolkit import cli
 from gt_toolkit.actions import (CyclicAction, degree, egz_factor,
@@ -32,13 +31,7 @@ from gt_toolkit.toricideal import (fiber_partition, ideal_dimension,
 from gt_toolkit.verify import (BETTI_TABLES, H3T_GENERATORS,
                                INVARIANT_SETS, NON_ACM_GENERATORS)
 
-
-def surface_triples(max_d, min_d=3):
-    for d in range(min_d, max_d + 1):
-        for a in range(1, d):
-            for b in range(a + 1, d):
-                if gcd(gcd(a, b), d) == 1:
-                    yield a, b, d
+from surfaces import surface_triples
 
 
 def _report(num, label, started, failures):

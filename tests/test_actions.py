@@ -16,13 +16,7 @@ from gt_toolkit.actions import (CyclicAction, count_invariants, degree,
                                 is_invariant, mu_d)
 from gt_toolkit.exactalg import InternalDiscrepancy
 
-
-def surface_actions(max_d):
-    for d in range(3, max_d + 1):
-        for a in range(1, d):
-            for b in range(a + 1, d):
-                if gcd(gcd(a, b), d) == 1:
-                    yield CyclicAction(d, (0, a, b))
+from surfaces import surface_actions
 
 
 def test_action_validation():
@@ -107,6 +101,38 @@ def test_no_function_in_the_package_calls_itself():
                     found.append(f"{path.name}:{node.lineno} {fn.name}")
     assert found == []
 
+
+def test_no_module_level_functions_call_each_other_in_a_cycle():
+    # recursion spread over several functions: a call by bare name, to a
+    # function of the same module or one imported from another, is an
+    # edge, and no module-level function may reach itself
+    calls = {}
+    for path in sorted(Path(gt_toolkit.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        defs = [node for node in tree.body
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        names = {alias.asname or alias.name: (node.module, alias.name)
+                 for node in tree.body
+                 if isinstance(node, ast.ImportFrom) and node.level == 1
+                 for alias in node.names}
+        names.update((fn.name, (path.stem, fn.name)) for fn in defs)
+        for fn in defs:
+            calls[path.stem, fn.name] = {
+                names[node.func.id] for node in ast.walk(fn)
+                if isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name) and node.func.id in names}
+    assert len(calls) > 50
+    cyclic = []
+    for start in calls:
+        seen, todo = set(), list(calls[start])
+        while todo:
+            fn = todo.pop()
+            if fn not in seen:
+                seen.add(fn)
+                todo.extend(calls.get(fn, ()))
+        if start in seen:
+            cyclic.append(".".join(start))
+    assert cyclic == []
 
 
 def test_every_module_level_definition_is_used():

@@ -10,13 +10,7 @@ from gt_toolkit.hilbert import (catalog_notes, catalog_theta, hf_by_counting,
                                 hf_closed_form, hf_reduced, hilbert_series,
                                 surface_profile)
 
-
-def surface_triples(max_d):
-    for d in range(3, max_d + 1):
-        for a in range(1, d):
-            for b in range(a + 1, d):
-                if gcd(gcd(a, b), d) == 1:
-                    yield a, b, d
+from surfaces import surface_triples
 
 
 def test_hf_by_counting_goldens():

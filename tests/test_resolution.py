@@ -1,5 +1,4 @@
 from dataclasses import replace
-from math import gcd
 
 import pytest
 
@@ -10,6 +9,8 @@ from gt_toolkit.resolution import (betti_table, generator_counts,
                                    series_from_betti)
 from gt_toolkit.toricideal import (fiber_partition, ideal_dimension,
                                    minimal_generators)
+
+from surfaces import surface_triples
 
 GOLDEN_TABLES = {
     (1, 2, 4): {(1, 1): 2, (2, 2): 1},
@@ -22,14 +23,6 @@ GOLDEN_TABLES = {
     (1, 2, 3): {(1, 2): 1},
     (1, 3, 5): {(1, 1): 1, (1, 2): 2, (2, 2): 2},
 }
-
-
-def surface_triples(max_d):
-    for d in range(3, max_d + 1):
-        for a in range(1, d):
-            for b in range(a + 1, d):
-                if gcd(gcd(a, b), d) == 1:
-                    yield a, b, d
 
 
 @pytest.mark.parametrize("triple,expected", sorted(GOLDEN_TABLES.items()))

@@ -15,6 +15,8 @@ from gt_toolkit.semigroups import (AffineSemigroup, NormalityReport,
                                    member, semigroup_of_action,
                                    trung_cm_check)
 
+from surfaces import surface_actions
+
 H6_GENERATORS = {(6, 0, 0), (0, 6, 0), (0, 0, 6), (4, 1, 1), (1, 4, 1),
                  (1, 1, 4), (2, 2, 2)}
 
@@ -34,12 +36,6 @@ RANDOM_SETS = {
     "s7": [(6, 0, 0), (4, 2, 0), (2, 3, 1), (1, 3, 2), (1, 1, 4), (0, 6, 0),
            (0, 0, 6)],
 }
-
-
-def gt_surface_actions(max_d):
-    return [CyclicAction(d, (0, a, b)) for d in range(3, max_d + 1)
-            for a in range(1, d) for b in range(a + 1, d)
-            if gcd(gcd(a, b), d) == 1]
 
 
 def resums(H, w, decomposition):
@@ -183,7 +179,7 @@ def test_member_matches_exhaustive_level_sets():
     named = {f"h3t({t})": make_h3t(t) for t in (1, 2, 3)}
     named["hk(2,1)"] = make_hk(2, 1)
     named["cubic"] = CUBIC
-    actions = gt_surface_actions(8)
+    actions = list(surface_actions(8))
     for action in actions:
         named[action] = semigroup_of_action(action)
     for name, H in named.items():
@@ -225,7 +221,7 @@ def _apery_test_semigroups():
     named["cubic"] = CUBIC
     for name, gens in RANDOM_SETS.items():
         named[name] = AffineSemigroup.from_generators(gens)
-    for action in gt_surface_actions(8):
+    for action in surface_actions(8):
         named[action] = semigroup_of_action(action)
     assert len(named) == 65
     return named
@@ -363,7 +359,7 @@ def test_scans_count_one_element_classes_without_walking(monkeypatch):
                  if all(len(e) == 1 for e in _apery(H)[1].values())}
     assert set(named) - set(singleton) == {"cubic", "s5", "s6", "s7"}
     scanned = _scan_test_semigroups()
-    surfaces = [semigroup_of_action(a) for a in gt_surface_actions(11)]
+    surfaces = [semigroup_of_action(a) for a in surface_actions(11)]
     for H in surfaces + list(scanned.values()):
         _apery(H)  # the Apery build itself calls _below
     calls = {"_point_test": 0, "_below": 0, "_class_points": 0}

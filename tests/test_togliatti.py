@@ -8,13 +8,7 @@ from gt_toolkit.actions import (CyclicAction, exponent_vectors,
 from gt_toolkit.exactalg import integer_rank
 from gt_toolkit.togliatti import classify, generator_bound, wlp_fails_in_degree
 
-
-def surface_actions(max_d):
-    for d in range(3, max_d + 1):
-        for a in range(1, d):
-            for b in range(a + 1, d):
-                if gcd(gcd(a, b), d) == 1:
-                    yield CyclicAction(d, (0, a, b))
+from surfaces import surface_actions
 
 
 def test_bound_examples():

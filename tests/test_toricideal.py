@@ -9,17 +9,10 @@ from gt_toolkit.actions import CyclicAction, invariant_monomials, mu_d
 from gt_toolkit.exactalg import integer_rank
 from gt_toolkit.hilbert import surface_profile
 from gt_toolkit.resolution import betti_table, generator_counts
-from gt_toolkit.toricideal import (BinomialGeneratorSet, _component_roots,
-                                   fiber_partition, ideal_dimension,
-                                   minimal_generators)
+from gt_toolkit.toricideal import (BinomialGeneratorSet, fiber_partition,
+                                   ideal_dimension, minimal_generators)
 
-
-def surface_actions(max_d):
-    for d in range(3, max_d + 1):
-        for a in range(1, d):
-            for b in range(a + 1, d):
-                if gcd(gcd(a, b), d) == 1:
-                    yield a, b, d
+from surfaces import surface_triples
 
 
 def weight_class(weights, d):
@@ -96,7 +89,7 @@ def test_ideal_dimension_goldens():
 
 
 def test_ideal_dimension_matches_fiber_counts():
-    for (a, b, d) in surface_actions(9):
+    for (a, b, d) in surface_triples(9):
         action = CyclicAction(d, (0, a, b))
         for j in (2, 3):
             assert ideal_dimension(action, j) == \
@@ -130,14 +123,14 @@ def test_emitted_binomials_are_identities():
 
 
 def test_degree4_closure_sweep():
-    for (a, b, d) in surface_actions(12):
+    for (a, b, d) in surface_triples(12):
         gens = minimal_generators(CyclicAction(d, (0, a, b)))
         assert gens.degree4_deficit == 0, (a, b, d)
         assert gens.verified_through_degree == 4
 
 
 def test_counts_against_formulas_with_known_exceptions():
-    for (a, b, d) in surface_actions(12):
+    for (a, b, d) in surface_triples(12):
         profile = surface_profile(a, b, d)
         counts = generator_counts(betti_table(profile))
         got = minimal_generators(profile.action).counts
@@ -206,7 +199,7 @@ def test_cubic_count_from_the_rank_of_quadric_multiples():
     # a second route to the cubic count of every surface with d <= 12:
     # the quadrics times each generator span a subspace of I_3 of exact
     # rank rho, and the cubics are what I_3 needs beyond it
-    surfaces = list(surface_actions(12))
+    surfaces = list(surface_triples(12))
     assert len(surfaces) == 196
     for a, b, d in surfaces:
         action = CyclicAction(d, (0, a, b))
@@ -215,40 +208,6 @@ def test_cubic_count_from_the_rank_of_quadric_multiples():
         rho = _incidence_rank(_shifts(result.quadrics, len(gens)), gens)
         assert ideal_dimension(action, 3) - rho == len(result.cubics), \
             (a, b, d)
-
-
-def test_component_walk_is_iterative():
-    # a path of 20000 vertices, far past the recursion limit: the flood
-    # fill walks it in a loop
-    size = 20000
-    vertices = (1 << size) - 1
-
-    def path(u):
-        return ((1 << u + 1) | (1 << u >> 1)) & vertices
-
-    assert _component_roots(vertices, path) == [0]
-
-    def pairs(u):  # the path with every other edge removed
-        return 1 << (u ^ 1)
-
-    assert _component_roots(vertices, pairs) == list(range(0, size, 2))
-    edges = {0: {3}, 1: {2}, 2: {1, 4}, 3: {0, 5}, 4: {2}, 5: {3}}
-    assert _component_roots(0b111111, lambda u: sum(
-        1 << v for v in edges[u])) == [0, 1]
-    assert _component_roots(0, path) == []
-
-    # seeded with the lowest vertex's closed neighbourhood, the first
-    # fill starts from it and never looks that vertex up again
-    looked_up = []
-
-    def recorded(u):
-        looked_up.append(u)
-        return sum(1 << v for v in edges[u])
-
-    assert _component_roots(0b111111, recorded, 0b1001) == [0, 1]
-    assert looked_up and 0 not in looked_up
-    assert _component_roots(vertices, pairs, 0b11) == \
-        list(range(0, size, 2))
 
 
 def _multiset_route(action):
@@ -325,11 +284,12 @@ def test_generator_graph_matches_multiset_route():
 
 
 def test_split_graph_is_not_taken_for_connected():
-    # with a repeated weight in these places, one degree-3 graph is two
-    # components: the closed neighbourhoods of its lowest and its highest
-    # vertex, disjoint and covering every vertex.  The canonical weights
-    # of the same classes, (0, 0, 1, 2) and (0, 0, 1, 4), give no such
-    # graph, so the class sweep above misses it.
+    # the repeated-weight cases whose degree-3 graph splits in two: the
+    # closed neighbourhoods of its lowest and its highest vertex, disjoint
+    # and covering every vertex, so the flood fill must find a second
+    # component after the first.  The canonical weights of the same
+    # classes, (0, 0, 1, 2) and (0, 0, 1, 4), give no such graph, so the
+    # class sweep above misses it.
     for action in (CyclicAction(3, (0, 1, 0, 2)),
                    CyclicAction(5, (0, 1, 0, 4))):
         assert minimal_generators(action).to_dict() == \
