@@ -137,6 +137,12 @@ def build_parser() -> _Parser:
     action.add_argument("d", type=_int, nargs="?")
     action.add_argument("weights", nargs="?")
     action.add_argument("--file", default=None, help="action JSON file instead")
+    surface = _Parser(add_help=False)
+    surface.add_argument("a", type=_int)
+    surface.add_argument("b", type=_int)
+    surface.add_argument("d", type=_int)
+    bounded = _Parser(add_help=False)
+    bounded.add_argument("--bound", type=_int, default=6)
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
 
@@ -144,42 +150,46 @@ def build_parser() -> _Parser:
                        help="invariant monomials per degree")
     p.add_argument("--t", type=_int, default=1, dest="horizon",
                    help="list degrees t = 1..T (default 1)")
+    p.set_defaults(run=_cmd_invariants)
 
-    sub.add_parser("classify", parents=[common, action],
-                   help="Togliatti/GT classification")
+    p = sub.add_parser("classify", parents=[common, action],
+                       help="Togliatti/GT classification")
+    p.set_defaults(run=_cmd_classify)
 
-    p = sub.add_parser("hilbert", parents=[common], help="surface Hilbert data, three routes")
-    p.add_argument("a", type=_int)
-    p.add_argument("b", type=_int)
-    p.add_argument("d", type=_int)
+    p = sub.add_parser("hilbert", parents=[common, surface],
+                       help="surface Hilbert data, three routes")
     p.add_argument("--t", type=_int, default=6, dest="horizon")
+    p.set_defaults(run=_cmd_hilbert)
 
-    p = sub.add_parser("betti", parents=[common], help="Betti table and generator counts")
-    p.add_argument("a", type=_int)
-    p.add_argument("b", type=_int)
-    p.add_argument("d", type=_int)
+    p = sub.add_parser("betti", parents=[common, surface],
+                       help="Betti table and generator counts")
+    p.set_defaults(run=_cmd_betti)
 
-    sub.add_parser("ideal", parents=[common, action],
-                   help="binomial generators of the toric ideal")
+    p = sub.add_parser("ideal", parents=[common, action],
+                       help="binomial generators of the toric ideal")
+    p.set_defaults(run=_cmd_ideal)
 
-    p = sub.add_parser("semigroup", parents=[common],
+    p = sub.add_parser("semigroup", parents=[common, bounded],
                        help="membership/normality/CM report from a JSON file")
     p.add_argument("file")
-    p.add_argument("--bound", type=_int, default=6)
     p.add_argument("--member", default=None,
                    help="optional comma-separated vector to test")
+    p.set_defaults(run=_cmd_semigroup)
 
-    p = sub.add_parser("h3t", parents=[common], help="shifted family constructor + CM report")
+    p = sub.add_parser("h3t", parents=[common, bounded],
+                       help="shifted family constructor + CM report")
     p.add_argument("t", type=_int)
-    p.add_argument("--bound", type=_int, default=6)
+    p.set_defaults(run=_cmd_h3t)
 
-    p = sub.add_parser("hk", parents=[common], help="k-step family constructor + CM report")
+    p = sub.add_parser("hk", parents=[common, bounded],
+                       help="k-step family constructor + CM report")
     p.add_argument("k", type=_int)
     p.add_argument("tprime", type=_int)
-    p.add_argument("--bound", type=_int, default=6)
+    p.set_defaults(run=_cmd_hk)
 
-    sub.add_parser("verify-paper", parents=[common],
-                   help="run the published-value reference suite")
+    p = sub.add_parser("verify-paper", parents=[common],
+                       help="run the published-value reference suite")
+    p.set_defaults(run=_cmd_verify)
     return parser
 
 
@@ -391,24 +401,11 @@ def _cmd_verify(args):
     return report, lines, CHECK_FAILED if failed else OK
 
 
-_COMMANDS = {
-    "invariants": _cmd_invariants,
-    "classify": _cmd_classify,
-    "hilbert": _cmd_hilbert,
-    "betti": _cmd_betti,
-    "ideal": _cmd_ideal,
-    "semigroup": _cmd_semigroup,
-    "h3t": _cmd_h3t,
-    "hk": _cmd_hk,
-    "verify-paper": _cmd_verify,
-}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        report, lines, status = _COMMANDS[args.command](args)
+        report, lines, status = args.run(args)
         if args.format == "json":
             text = json.dumps(report, indent=2, sort_keys=True) + "\n"
         else:

@@ -59,15 +59,14 @@ def _reduced_count(first: int, second: int, d: int, t: int) -> int:
     with lambda chosen so second = lambda*(first/g) + mu*(d/g), the
     scaled systems have y1 + lambda*y2' equal to a multiple of d/g at
     most t*lambda*(d/g), restricted by y1 + g*y2' <= t*d.  The
-    derivation needs gcd(first, d) <= gcd(second, d).
+    derivation needs gcd(first, d) <= gcd(second, d).  y2' stops at t*d',
+    where both bounds on y1, g*(t*d' - y2') and lambda*(t*d' - y2'), reach 0.
     """
     g, d_prime, lam, _ = _lambda_mu(first, second, d)
     total = t * d
     count = 0
-    for y2 in range(total + 1):
+    for y2 in range(t * d_prime + 1):
         upper = min(total - g * y2, t * lam * d_prime - lam * y2)
-        if upper < 0:
-            continue
         # y1 = -lam*y2' (mod d') within [0, upper]
         rem = (-lam * y2) % d_prime
         if rem <= upper:

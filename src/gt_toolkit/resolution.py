@@ -9,6 +9,7 @@ generators independently, from the fibers of the toric ideal.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .exactalg import InternalDiscrepancy, binomial
 from .hilbert import SurfaceProfile, hilbert_series
@@ -125,24 +126,16 @@ class RationalSeries:
                 "matches_closed_form": self.matches_closed_form}
 
 
-def _divide_by_one_minus_z(coeffs: list[int]) -> list[int] | None:
-    """Exact quotient by (1-z), or None when (1-z) does not divide."""
-    acc = 0
-    out = []
-    for c in coeffs:
-        acc += c
-        out.append(acc)
-    if acc != 0:
-        return None
-    return out[:-1] if len(out) > 1 else [0]
-
-
 def series_from_betti(table: BettiTable) -> RationalSeries:
     """Alternating-sum Hilbert series of the resolution, reduced.
 
     Starts from (1 + sum (-1)^l b(l,i) z^(l+i)) / (1-z)^mu_d, cancels
     every possible (1-z) factor and compares the result with the
-    closed-form series of the profile.
+    closed-form series of the profile.  One division is one pass of
+    partial sums: all but the last are the quotient's coefficients, and
+    the last is the remainder, the numerator's value at z = 1.  Every
+    entry sits at l + i >= 2 and partial sums keep the constant term 1,
+    so a zero remainder always leaves a nonempty quotient.
     """
     top = max(l + i for l, i in table.entries)
     coeffs = [0] * (top + 1)
@@ -151,10 +144,10 @@ def series_from_betti(table: BettiTable) -> RationalSeries:
         coeffs[l + i] += (-1) ** l * r
     pole = table.profile.mu_d
     while pole > 0:
-        reduced = _divide_by_one_minus_z(coeffs)
-        if reduced is None:
+        *quotient, remainder = accumulate(coeffs)
+        if remainder:
             break
-        coeffs = reduced
+        coeffs = quotient
         pole -= 1
     while len(coeffs) > 1 and coeffs[-1] == 0:
         coeffs.pop()

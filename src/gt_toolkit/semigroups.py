@@ -201,7 +201,7 @@ def _vector(H: AffineSemigroup, w) -> tuple[int, ...]:
 def _below(entries, v):
     """The first (element, generator indices) of entries lying <= v, or None."""
     for entry in entries:
-        if all(x <= y for x, y in zip(entry[0], v)):
+        if all(map(le, entry[0], v)):
             return entry
     return None
 
@@ -214,13 +214,16 @@ def _resum(H: AffineSemigroup, indices) -> tuple[int, ...]:
 def _apery(H: AffineSemigroup) -> tuple[tuple[int, ...], dict]:
     """Axis generator indices and Ap(H), keyed by residue mod g.
 
-    Each residue maps to a list of (element, generator indices).  An
-    Apery element of level k + 1 is an Apery element of level k plus a
-    non-axis generator, so Ap(H) grows from itself; a candidate h is kept
-    unless some h - g*e_k lies in H, which happens exactly when a known
-    Apery element of h's residue class lies below h.  Elements of one
-    level never lie below each other, and a level that adds nothing ends
-    the growth, since every later level would grow from it.
+    Raises UnsupportedSemigroupError when H lacks an axis multiple; every
+    caller relies on this one check.  Each residue maps to a list of
+    (element, generator indices).  An Apery element of level k + 1 is an
+    Apery element of level k plus a non-axis generator, so Ap(H) grows
+    from itself; a candidate h is kept unless some h - g*e_k lies in H,
+    which happens exactly when a known Apery element of h's residue
+    class lies below h, the same _below test that member makes.
+    Elements of one level never lie below each other, and a level that
+    adds nothing ends the growth, since every later level would grow
+    from it.
 
     Most sums a + generator repeat one already formed, so each vector of
     a level also carries a packed key, its coordinates as digits of
@@ -236,7 +239,10 @@ def _apery(H: AffineSemigroup) -> tuple[tuple[int, ...], dict]:
     cache = H._cache
     if "apery" in cache:
         return cache["apery"]
-    axes = _require_axes(H)
+    axes = H.axis_generator_indices()
+    if axes is None:
+        raise UnsupportedSemigroupError(
+            "semigroup must contain a positive multiple of every axis")
     g = H.degree
     width = g.bit_length() + 32
     shifts = range(0, width * H.dim, width)
@@ -260,10 +266,7 @@ def _apery(H: AffineSemigroup) -> tuple[tuple[int, ...], dict]:
         for p, (a, indices, i, gen) in candidates.items():
             h = tuple(map(add, a, gen))
             known = apery.setdefault(tuple(map(mod, h, gs)), [])
-            for e, _ in known:
-                if all(map(le, e, h)):
-                    break
-            else:
+            if _below(known, h) is None:
                 indices += (i,)
                 if _resum(H, indices) != h:
                     raise InternalDiscrepancy(
@@ -304,12 +307,10 @@ def _point_test(entries, w, g) -> tuple[bool, int]:
     return False, len(translates)
 
 
-def _require_axes(H: AffineSemigroup) -> tuple[int, ...]:
-    axes = H.axis_generator_indices()
-    if axes is None:
-        raise UnsupportedSemigroupError(
-            "semigroup must contain a positive multiple of every axis")
-    return axes
+def _classes(H: AffineSemigroup) -> list:
+    """(residue key r, base level |r|/g, Apery entries) for each class."""
+    return [(key, sum(key) // H.degree, entries)
+            for key, entries in _apery(H)[1].items()]
 
 
 @dataclass(frozen=True)
@@ -348,12 +349,9 @@ def is_normal_up_to(H: AffineSemigroup, bound: int) -> NormalityReport:
     witness is the lex-largest of them.  H is normal through `bound`
     exactly when no such class has base <= bound.
     """
-    _require_axes(H)
+    classes = _classes(H)
     if bound < 0:
         raise ValueError("bound must be nonnegative")
-    g = H.degree
-    classes = [(key, sum(key) // g, entries)
-               for key, entries in _apery(H)[1].items()]
     # max of (-base, key): the lowest gap level, then its lex-largest key
     gaps = [(-base, key) for key, base, entries in classes
             if base <= bound and entries[0][0] != key]
@@ -427,13 +425,12 @@ def trung_cm_check(H: AffineSemigroup, bound: int) -> TrungReport:
       is not Cohen-Macaulay, so some point fails, and the visit stops at
       the lowest level holding a failure, however large the bound.
     """
-    axes = _require_axes(H)
+    classes = _classes(H)
     if bound < 0:
         raise ValueError("bound must be nonnegative")
+    axes = _apery(H)[0]
     g = H.degree
     dim = H.dim
-    classes = [(key, sum(key) // g, entries)
-               for key, entries in _apery(H)[1].items()]
     status, witness, levels_scanned = "verified-up-to-bound", None, bound + 1
     lattice_points = pair_hits = 0
     if all(len(entries) == 1 for _, _, entries in classes):

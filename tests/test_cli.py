@@ -1,3 +1,4 @@
+import argparse
 import ast
 import hashlib
 import json
@@ -760,3 +761,16 @@ def test_parser_is_shared_and_unchanged_by_a_failed_parse(capsys):
                            capture_output=True, text=True, env=env,
                            check=True)
     assert out == fresh.stdout
+
+
+def test_every_subcommand_carries_its_handler():
+    # main() calls args.run; a subcommand without its set_defaults would
+    # end in an AttributeError traceback
+    sub, = (a for a in cli.build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction))
+    assert "verify-paper" in sub.choices
+    for name, parser in sub.choices.items():
+        run = parser.get_default("run")
+        assert run is not None, name
+        assert run.__name__.startswith("_cmd_"), name
+        assert getattr(cli, run.__name__) is run, name

@@ -111,3 +111,54 @@ def test_series_consistency_sweep():
         assert series.numerator == hilbert_series(profile).numerator
         assert table.cm_type == profile.cm_type
         assert table.regularity == 3
+
+
+def _divide_by_one_minus_z(coeffs):
+    """Exact quotient by (1-z), or None when (1-z) does not divide."""
+    acc = 0
+    out = []
+    for c in coeffs:
+        acc += c
+        out.append(acc)
+    if acc != 0:
+        return None
+    return out[:-1] if len(out) > 1 else [0]
+
+
+def _reference_series(table):
+    """series_from_betti(table).to_dict() by repeated exact division."""
+    coeffs = [0] * (max(l + i for l, i in table.entries) + 1)
+    coeffs[0] = 1
+    for (l, i), r in table.entries.items():
+        coeffs[l + i] += (-1) ** l * r
+    pole = table.profile.mu_d
+    while pole > 0:
+        reduced = _divide_by_one_minus_z(coeffs)
+        if reduced is None:
+            break
+        coeffs = reduced
+        pole -= 1
+    while len(coeffs) > 1 and coeffs[-1] == 0:
+        coeffs.pop()
+    expected = hilbert_series(table.profile, horizon=0).numerator
+    return {"numerator": coeffs, "pole_order": pole,
+            "matches_closed_form": pole == 3 and tuple(coeffs) == expected}
+
+
+def test_series_matches_reference_division():
+    # the closed-form tables reduce to pole order 3; a table with one
+    # rank moved by -1 or +1 leaves a remainder of either sign at z = 1,
+    # so (1-z) no longer divides and the series does not match
+    for triple in surface_triples(30):
+        table = betti_table(surface_profile(*triple))
+        series = series_from_betti(table)
+        assert series.to_dict() == _reference_series(table), triple
+        assert series.matches_closed_form, triple
+        for key in ((1, 1), (2, 1), (1, 2)):
+            for step in (-1, 1):
+                changed = replace(table, entries={
+                    **table.entries, key: table.rank(*key) + step})
+                series = series_from_betti(changed)
+                assert series.to_dict() == _reference_series(changed), \
+                    (triple, key, step)
+                assert not series.matches_closed_form, (triple, key, step)

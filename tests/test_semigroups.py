@@ -10,7 +10,7 @@ from gt_toolkit.hilbert import hf_by_counting
 from gt_toolkit.semigroups import (AffineSemigroup, NormalityReport,
                                    TrungReport, UnsupportedSemigroupError,
                                    _apery, _below, _class_points,
-                                   _point_test, is_normal_up_to,
+                                   _classes, _point_test, is_normal_up_to,
                                    lemma_two_zero_check, make_h3t, make_hk,
                                    member, semigroup_of_action,
                                    trung_cm_check)
@@ -225,12 +225,6 @@ def _apery_test_semigroups():
         named[action] = semigroup_of_action(action)
     assert len(named) == 65
     return named
-
-
-def _classes(H):
-    """(residue key r, base level |r|/g, Apery entries) for each class."""
-    return [(key, sum(key) // H.degree, entries)
-            for key, entries in _apery(H)[1].items()]
 
 
 def test_apery_size_is_lattice_index_exactly_when_cm():
@@ -598,6 +592,21 @@ def test_trung_hypothesis_reporting():
                                                (1, 0, 2)])
     with pytest.raises(UnsupportedSemigroupError):
         trung_cm_check(no_axes, 2)
+
+
+@pytest.mark.parametrize("scan", [is_normal_up_to, trung_cm_check])
+def test_scans_check_the_axes_before_the_bound(scan):
+    # a semigroup without axis multiples is unsupported whatever the
+    # bound; a supported one rejects a negative bound as plain bad input
+    no_axes = AffineSemigroup.from_generators([(2, 1, 0), (0, 2, 1),
+                                               (1, 0, 2)])
+    for bound in (2, -1):
+        with pytest.raises(UnsupportedSemigroupError):
+            scan(no_axes, bound)
+    with pytest.raises(ValueError) as excinfo:
+        scan(make_h3t(2), -1)
+    assert excinfo.type is ValueError
+    assert str(excinfo.value) == "bound must be nonnegative"
 
 
 def test_lemma_two_zero_check():
