@@ -10,19 +10,22 @@ formats.  Each command returns its report and its table lines; `ideal`
 yields its lines lazily, so its table text is built only for table
 output.
 
-One argument parser serves every main() call in a process: it is built
-on the first call, not at import.  Integer arguments and the
+Arguments are read against one module-level table, _COMMANDS, of each
+subcommand's handler, positionals and options.  Options may come
+anywhere after the command, as --opt value, --opt=value or a unique
+prefix of --opt; a value is the next argument, whatever it starts with,
+and a repeated option's last value wins.  -h lists the usage of every
+command, or of one after its name.  Integer arguments and the
 comma-separated vectors accept only ASCII decimals, [+-]?[0-9]+.  JSON
 input files may nest at most JSON_MAX_DEPTH (64) levels.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import re
 import sys
+from types import SimpleNamespace
 
 from .actions import CyclicAction, format_monomial, invariant_monomials
 from .exactalg import InternalDiscrepancy
@@ -44,13 +47,6 @@ class _UsageError(Exception):
     pass
 
 
-class _Parser(argparse.ArgumentParser):
-    # argparse exits with status 2 on bad usage; the documented scheme
-    # reserves 2 for flagged discrepancies, so usage problems raise.
-    def error(self, message):
-        raise _UsageError(message)
-
-
 _INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
@@ -60,14 +56,20 @@ def _int(text: str) -> int:
     int() alone would also take "1_3" and non-ASCII digits.
     """
     if _INTEGER.fullmatch(text) is None:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        raise ValueError(f"invalid int value: {text!r}")
     return int(text)
+
+
+def _format(text: str) -> str:
+    if text not in ("table", "json"):
+        raise ValueError(f"invalid choice: {text!r} (table or json)")
+    return text
 
 
 def _parse_ints(text: str, what: str) -> tuple[int, ...]:
     try:
         return tuple(_int(p) for p in text.split(","))
-    except argparse.ArgumentTypeError as exc:
+    except ValueError as exc:
         raise _UsageError(f"{what} must be comma-separated integers: {exc}")
 
 
@@ -121,78 +123,6 @@ def _action_from_args(args) -> CyclicAction:
     return CyclicAction(args.d, _parse_ints(args.weights, "weights"))
 
 
-@functools.cache
-def build_parser() -> _Parser:
-    """The argument parser, built once on first use and shared by every
-    main() call; parsing never changes it."""
-    parser = _Parser(prog="gt-toolkit",
-                     description="Exact invariants of GT-systems, "
-                                 "GT-varieties and affine semigroups.")
-    common = _Parser(add_help=False)
-    common.add_argument("--format", choices=("table", "json"),
-                        default="table", help="output format")
-    common.add_argument("--output", default=None,
-                        help="write the report to this path instead of stdout")
-    action = _Parser(add_help=False)
-    action.add_argument("d", type=_int, nargs="?")
-    action.add_argument("weights", nargs="?")
-    action.add_argument("--file", default=None, help="action JSON file instead")
-    surface = _Parser(add_help=False)
-    surface.add_argument("a", type=_int)
-    surface.add_argument("b", type=_int)
-    surface.add_argument("d", type=_int)
-    bounded = _Parser(add_help=False)
-    bounded.add_argument("--bound", type=_int, default=6)
-    sub = parser.add_subparsers(dest="command", required=True,
-                                parser_class=_Parser)
-
-    p = sub.add_parser("invariants", parents=[common, action],
-                       help="invariant monomials per degree")
-    p.add_argument("--t", type=_int, default=1, dest="horizon",
-                   help="list degrees t = 1..T (default 1)")
-    p.set_defaults(run=_cmd_invariants)
-
-    p = sub.add_parser("classify", parents=[common, action],
-                       help="Togliatti/GT classification")
-    p.set_defaults(run=_cmd_classify)
-
-    p = sub.add_parser("hilbert", parents=[common, surface],
-                       help="surface Hilbert data, three routes")
-    p.add_argument("--t", type=_int, default=6, dest="horizon")
-    p.set_defaults(run=_cmd_hilbert)
-
-    p = sub.add_parser("betti", parents=[common, surface],
-                       help="Betti table and generator counts")
-    p.set_defaults(run=_cmd_betti)
-
-    p = sub.add_parser("ideal", parents=[common, action],
-                       help="binomial generators of the toric ideal")
-    p.set_defaults(run=_cmd_ideal)
-
-    p = sub.add_parser("semigroup", parents=[common, bounded],
-                       help="membership/normality/CM report from a JSON file")
-    p.add_argument("file")
-    p.add_argument("--member", default=None,
-                   help="optional comma-separated vector to test")
-    p.set_defaults(run=_cmd_semigroup)
-
-    p = sub.add_parser("h3t", parents=[common, bounded],
-                       help="shifted family constructor + CM report")
-    p.add_argument("t", type=_int)
-    p.set_defaults(run=_cmd_h3t)
-
-    p = sub.add_parser("hk", parents=[common, bounded],
-                       help="k-step family constructor + CM report")
-    p.add_argument("k", type=_int)
-    p.add_argument("tprime", type=_int)
-    p.set_defaults(run=_cmd_hk)
-
-    p = sub.add_parser("verify-paper", parents=[common],
-                       help="run the published-value reference suite")
-    p.set_defaults(run=_cmd_verify)
-    return parser
-
-
 def _cmd_invariants(args):
     action = _action_from_args(args)
     if args.horizon < 1:
@@ -201,12 +131,9 @@ def _cmd_invariants(args):
     for t in range(1, args.horizon + 1):
         monomials = invariant_monomials(action, t)
         per_degree.append({
-            "t": t,
-            "degree": t * action.d,
-            "count": len(monomials),
+            "t": t, "degree": t * action.d, "count": len(monomials),
             "monomials": [list(m) for m in monomials],
-            "pretty": [format_monomial(m) for m in monomials],
-        })
+            "pretty": [format_monomial(m) for m in monomials]})
     report = {"action": action.to_dict(), "invariants": per_degree}
     lines = [f"action: d={action.d} weights={','.join(map(str, action.weights))}"]
     for entry in per_degree:
@@ -254,14 +181,9 @@ def _cmd_hilbert(args):
     invariants = {"mu_d": (profile.d + profile.theta + 2) // 2,
                   "degree": profile.degree, "codim": profile.codim,
                   "cm_type": profile.cm_type, "reg": profile.reg}
-    report = {
-        "profile": profile.to_dict(),
-        "hilbert": data.to_dict(),
-        "routes": table,
-        "invariants": invariants,
-        "flags": flags,
-        "notes": notes,
-    }
+    report = {"profile": profile.to_dict(), "hilbert": data.to_dict(),
+              "routes": table, "invariants": invariants, "flags": flags,
+              "notes": notes}
     lines = [f"surface (a, b, d) = ({args.a}, {args.b}, {args.d})",
              f"lambda = {profile.lam}, mu = {profile.mu}, "
              f"theta = {profile.theta} (counted {profile.theta_from_count})",
@@ -290,13 +212,9 @@ def _cmd_betti(args):
     flags = list(profile.flags)
     if not series.matches_closed_form:
         flags.append("resolution series does not match the closed form")
-    report = {
-        "profile": profile.to_dict(),
-        "betti": table.to_dict(),
-        "generator_counts": counts.to_dict(),
-        "series": series.to_dict(),
-        "flags": flags,
-    }
+    report = {"profile": profile.to_dict(), "betti": table.to_dict(),
+              "generator_counts": counts.to_dict(),
+              "series": series.to_dict(), "flags": flags}
     lines = [f"surface (a, b, d) = ({args.a}, {args.b}, {args.d}); "
              f"case {table.case}, c = {table.c}, h = {table.h}"]
     for (l, i), r in sorted(table.entries.items()):
@@ -334,9 +252,7 @@ def _ideal_lines(action, gens):
 
 
 def _binomial_str(binomial) -> str:
-    def side(ms):
-        return "*".join(f"w{i}" for i in ms)
-    return f"{side(binomial[0])} - {side(binomial[1])}"
+    return " - ".join("*".join(f"w{i}" for i in side) for side in binomial)
 
 
 def _semigroup_report(H: AffineSemigroup, bound: int, query=None):
@@ -344,16 +260,11 @@ def _semigroup_report(H: AffineSemigroup, bound: int, query=None):
         raise _UsageError("--bound must be at least 1")
     normal = is_normal_up_to(H, bound)
     trung = trung_cm_check(H, bound)
-    report = {
-        "semigroup": H.to_dict(),
-        "degree": H.degree,
-        "normality": normal.to_dict(),
-        "trung": trung.to_dict(),
-    }
+    report = {"semigroup": H.to_dict(), "degree": H.degree,
+              "normality": normal.to_dict(), "trung": trung.to_dict()}
     lines = [f"semigroup with {len(H.generators)} generators of degree "
-             f"{H.degree} in dimension {H.dim}"]
-    lines.append("generators: " + "  ".join(str(list(g))
-                                            for g in H.generators))
+             f"{H.degree} in dimension {H.dim}",
+             "generators: " + "  ".join(str(list(g)) for g in H.generators)]
     if query is not None:
         result = member(H, query)
         report["member_query"] = {"vector": list(query),
@@ -390,8 +301,7 @@ def _cmd_verify(args):
     results = run_reference_checks()
     failed = [r for r in results if not r.ok]
     report = {"checks": [r.to_dict() for r in results],
-              "passed": len(results) - len(failed),
-              "failed": len(failed)}
+              "passed": len(results) - len(failed), "failed": len(failed)}
     lines = []
     for r in results:
         status = "PASS" if r.ok else "FAIL"
@@ -401,10 +311,98 @@ def _cmd_verify(args):
     return report, lines, CHECK_FAILED if failed else OK
 
 
+# name -> (handler, summary, arguments); an argument maps its flag, or
+# for a positional its name, to (dest, converter, default), and a
+# default of ... marks it required.  Positionals come first, in order,
+# and no flag is a prefix of another.
+_COMMON = {"--format": ("format", _format, "table"),
+           "--output": ("output", str, None)}
+_ACTION = {"d": ("d", _int, None), "weights": ("weights", str, None),
+           **_COMMON, "--file": ("file", str, None)}
+_SURFACE = {"a": ("a", _int, ...), "b": ("b", _int, ...),
+            "d": ("d", _int, ...), **_COMMON}
+_BOUND = {"--bound": ("bound", _int, 6)}
+_COMMANDS = {
+    "invariants": (_cmd_invariants, "invariant monomials, t = 1..T",
+                   {**_ACTION, "--t": ("horizon", _int, 1)}),
+    "classify": (_cmd_classify, "Togliatti/GT classification", _ACTION),
+    "hilbert": (_cmd_hilbert, "surface Hilbert data, three routes",
+                {**_SURFACE, "--t": ("horizon", _int, 6)}),
+    "betti": (_cmd_betti, "Betti table and generator counts", _SURFACE),
+    "ideal": (_cmd_ideal, "binomial generators of the toric ideal", _ACTION),
+    "semigroup": (_cmd_semigroup, "normality/CM report of a JSON file",
+                  {"file": ("file", str, ...), **_COMMON, **_BOUND,
+                   "--member": ("member", str, None)}),
+    "h3t": (_cmd_h3t, "shifted family + CM report",
+            {"t": ("t", _int, ...), **_COMMON, **_BOUND}),
+    "hk": (_cmd_hk, "k-step family + CM report", {"k": ("k", _int, ...),
+           "tprime": ("tprime", _int, ...), **_COMMON, **_BOUND}),
+    "verify-paper": (_cmd_verify, "published reference values", _COMMON),
+}
+_HELP = ("-h", "--help")
+# argparse's rule: "-5" and "-.5" are values, not options
+_NEGATIVE = re.compile(r"-\d+|-\d*\.\d+")
+
+
+def _usage(names) -> str:
+    """The -h listing of the named commands, read off _COMMANDS."""
+    lines = ["usage (FORMAT is table or json):"]
+    for name in names:
+        _, summary, spec = _COMMANDS[name]
+        words = [f"[{k} {k[2:].upper()}]" if k[0] == "-" else
+                 k if v[2] is ... else f"[{k}]" for k, v in spec.items()]
+        lines += [f"  gt-toolkit {name} {' '.join(words)}", f"      {summary}"]
+    return "\n".join(lines) + "\n"
+
+
+def _parse(argv):
+    """The namespace of one command line, read against _COMMANDS, or the
+    usage listing that -h asks for."""
+    name, *rest = argv or [""]
+    if name in _HELP or len(name) > 2 and "--help".startswith(name):
+        return _usage(_COMMANDS)
+    if name not in _COMMANDS:
+        raise _UsageError(f"no command {name!r}; gt-toolkit -h lists them")
+    run, _, spec = _COMMANDS[name]
+    values = {dest: default for dest, _, default in spec.values()}
+    positionals = [key for key in spec if key[0] != "-"]
+    taken, args = 0, iter(rest)
+    for arg in args:
+        flag, eq, text = arg.partition("=")
+        option = arg[:1] == "-" and arg != "-" and not _NEGATIVE.fullmatch(arg)
+        found = [f for f in (*spec, *_HELP) if f == flag or len(flag) > 2
+                 and flag[:2] == "--" and f.startswith(flag)] if option else []
+        if len(found) > 1:
+            raise _UsageError(f"ambiguous option {flag}: {', '.join(found)}")
+        if found and found[0] in _HELP:
+            return _usage([name])
+        if found:
+            label = found[0]
+            text = text if eq else next(args, None)
+            if text is None:
+                raise _UsageError(f"argument {label}: expected one argument")
+        # as in argparse, an unknown "-..." with a space is a value
+        elif taken == len(positionals) or option and " " not in arg:
+            raise _UsageError(f"unrecognized argument {arg!r}")
+        else:
+            label, text, taken = positionals[taken], arg, taken + 1
+        dest, convert, _ = spec[label]
+        try:
+            values[dest] = convert(text)
+        except ValueError as exc:
+            raise _UsageError(f"argument {label}: {exc}")
+    missing = [p for p in positionals if values[p] is ...]
+    if missing:
+        raise _UsageError(f"missing arguments: {', '.join(missing)}")
+    return SimpleNamespace(run=run, **values)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
+        if isinstance(args, str):
+            sys.stdout.write(args)
+            return OK
         report, lines, status = args.run(args)
         if args.format == "json":
             text = json.dumps(report, indent=2, sort_keys=True) + "\n"

@@ -153,8 +153,9 @@ def minimal_generators(action: CyclicAction) -> BinomialGeneratorSet:
     degree4_deficit, so they are visited unsorted and no leader is read.
 
     Each component is one bitmask flood fill from the lowest remaining
-    vertex.  Any expansion order gives the same components; the highest
-    frontier vertex goes first, as that order needs the fewest lookups.
+    vertex, whose neighbours seed the frontier.  Any expansion order
+    gives the same components; the highest frontier vertex goes first,
+    as that order needs the fewest lookups.
 
     No lookup can miss.  For u in V(b), b - g_u is a key of tables[j - 1]
     by the definition of V(b).  For a neighbour v of u,
@@ -190,7 +191,8 @@ def minimal_generators(action: CyclicAction) -> BinomialGeneratorSet:
             while vertices:
                 low = vertices & -vertices
                 roots.append(low.bit_length() - 1)
-                component = frontier = low
+                component = lower[b - packed[roots[-1]]] | low
+                frontier = component ^ low
                 while frontier and component != vertices:
                     u = frontier.bit_length() - 1
                     frontier ^= 1 << u

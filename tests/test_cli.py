@@ -1,4 +1,3 @@
-import argparse
 import ast
 import hashlib
 import json
@@ -746,31 +745,50 @@ def test_signed_ascii_integers_still_parse(capsys):
         run(capsys, "classify", "5", "0,1,3")
 
 
+def _fresh(*args):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src))
+
+
 def test_parser_is_shared_and_unchanged_by_a_failed_parse(capsys):
-    # main() builds the parser once; a rejected argv must leave it as a
-    # fresh interpreter would build it
-    assert cli.build_parser() is cli.build_parser()
+    # every main() call reads the one module-level table; a rejected argv
+    # must leave it as a fresh interpreter builds it
+    before = repr(cli._COMMANDS)
     status, out, _ = run(capsys, "hk", "2", "--bound", "x")
     assert (status, out) == (1, "")
+    assert repr(cli._COMMANDS) == before
     argv = ["hk", "2", "1", "--bound", "3"]
     status, out, err = run(capsys, *argv)
     assert (status, err) == (0, "")
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
-    fresh = subprocess.run([sys.executable, "-m", "gt_toolkit.cli", *argv],
-                           capture_output=True, text=True, env=env,
-                           check=True)
-    assert out == fresh.stdout
+    fresh = _fresh("-m", "gt_toolkit.cli", *argv)
+    assert (fresh.returncode, fresh.stdout) == (0, out)
 
 
 def test_every_subcommand_carries_its_handler():
-    # main() calls args.run; a subcommand without its set_defaults would
-    # end in an AttributeError traceback
-    sub, = (a for a in cli.build_parser()._actions
-            if isinstance(a, argparse._SubParsersAction))
-    assert "verify-paper" in sub.choices
-    for name, parser in sub.choices.items():
-        run = parser.get_default("run")
-        assert run is not None, name
+    # main() calls args.run; every command of the table must name the
+    # module-level handler of its own name
+    assert "verify-paper" in cli._COMMANDS
+    for name, (run, *_) in cli._COMMANDS.items():
         assert run.__name__.startswith("_cmd_"), name
         assert getattr(cli, run.__name__) is run, name
+
+
+def test_cli_imports_neither_argparse_nor_gettext():
+    # building argparse's parsers cost about 4 ms a process, and importing
+    # argparse with gettext about 3 ms
+    done = _fresh("-c", "import sys, gt_toolkit.cli; "
+                  "print(sorted({'argparse', 'gettext'} & set(sys.modules)))")
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+
+
+def test_help_lists_every_command_and_option():
+    done = _fresh("-m", "gt_toolkit", "-h")
+    assert (done.returncode, done.stderr) == (0, "")
+    for name in cli._COMMANDS:
+        assert f" gt-toolkit {name} " in done.stdout, name
+    done = _fresh("-m", "gt_toolkit", "hilbert", "-h")
+    assert (done.returncode, done.stderr) == (0, "")
+    assert "gt-toolkit hilbert a b d [--format FORMAT] [--output OUTPUT] " \
+           "[--t T]\n" in done.stdout
+    assert "invariants" not in done.stdout
