@@ -6,9 +6,13 @@ failed, 3 a verification check failed, 4 out of memory: a valid input
 whose computation or report does not fit in the memory the process may
 use.  Output is deterministic:
 identical inputs give byte-identical output in both table and JSON
-formats.  Each command returns its report and its table lines; `ideal`
-yields its lines lazily, so its table text is built only for table
-output.
+formats.  Each command returns its report and its table lines; `ideal`,
+`betti` and the semigroup commands yield their lines lazily, so their
+table text is built only for table output.  One writer, _json_text,
+writes every JSON report, byte-identical to json.dumps(report, indent=2,
+sort_keys=True).  Input is read under Python's int-to-str digit limit;
+main lifts the limit only while it renders a report, whose integers may
+exceed it.
 
 Arguments are read against one module-level table, _COMMANDS, of each
 subcommand's handler, positionals and options.  Options may come
@@ -215,18 +219,25 @@ def _cmd_betti(args):
     report = {"profile": profile.to_dict(), "betti": table.to_dict(),
               "generator_counts": counts.to_dict(),
               "series": series.to_dict(), "flags": flags}
-    lines = [f"surface (a, b, d) = ({args.a}, {args.b}, {args.d}); "
-             f"case {table.case}, c = {table.c}, h = {table.h}"]
+    return (report, _betti_lines(args, table, counts, series, flags),
+            DISCREPANCY if flags else OK)
+
+
+def _betti_lines(args, table, counts, series, flags):
+    """The table text of a betti report, built only when main joins it:
+    its Betti numbers may pass the int-to-str digit limit that main
+    lifts only while it renders."""
+    yield (f"surface (a, b, d) = ({args.a}, {args.b}, {args.d}); "
+           f"case {table.case}, c = {table.c}, h = {table.h}")
     for (l, i), r in sorted(table.entries.items()):
-        lines.append(f"b({l},{i}) = {r}  twist {table.twist(l, i)}")
-    lines.append(f"generators per closed formulas: {counts.quadrics} quadrics, "
-                 f"{counts.cubics} cubics")
-    lines.append(f"series numerator {list(series.numerator)} over "
-                 f"(1-z)^{series.pole_order}; matches closed form: "
-                 f"{series.matches_closed_form}")
+        yield f"b({l},{i}) = {r}  twist {table.twist(l, i)}"
+    yield (f"generators per closed formulas: {counts.quadrics} quadrics, "
+           f"{counts.cubics} cubics")
+    yield (f"series numerator {list(series.numerator)} over "
+           f"(1-z)^{series.pole_order}; matches closed form: "
+           f"{series.matches_closed_form}")
     for flag in flags:
-        lines.append(f"FLAG: {flag}")
-    return report, lines, DISCREPANCY if flags else OK
+        yield f"FLAG: {flag}"
 
 
 def _cmd_ideal(args):
@@ -262,24 +273,31 @@ def _semigroup_report(H: AffineSemigroup, bound: int, query=None):
     trung = trung_cm_check(H, bound)
     report = {"semigroup": H.to_dict(), "degree": H.degree,
               "normality": normal.to_dict(), "trung": trung.to_dict()}
-    lines = [f"semigroup with {len(H.generators)} generators of degree "
-             f"{H.degree} in dimension {H.dim}",
-             "generators: " + "  ".join(str(list(g)) for g in H.generators)]
+    result = None
     if query is not None:
         result = member(H, query)
         report["member_query"] = {"vector": list(query),
                                   **result.to_dict()}
-        lines.append(f"member {list(query)}: {result.member}"
-                     + (f" decomposition {list(result.decomposition)}"
-                        if result.decomposition is not None else ""))
-    lines.append(f"normal up to level {bound}: {normal.normal_up_to_bound}"
-                 + (f" (witness {list(normal.witness)})"
-                    if normal.witness else ""))
-    lines.append(f"CM certification: {trung.status} (bound {bound}, "
-                 f"hypothesis_ok {trung.hypothesis_ok})"
-                 + (f" witness {list(trung.witness)}"
-                    if trung.witness else ""))
-    return report, lines, OK
+    return report, _semigroup_lines(H, bound, normal, trung, query,
+                                    result), OK
+
+
+def _semigroup_lines(H, bound, normal, trung, query, result):
+    """The table text of a semigroup report, built only when main joins
+    it: a witness may have more digits than any input coordinate."""
+    yield (f"semigroup with {len(H.generators)} generators of degree "
+           f"{H.degree} in dimension {H.dim}")
+    yield "generators: " + "  ".join(str(list(g)) for g in H.generators)
+    if query is not None:
+        yield (f"member {list(query)}: {result.member}"
+               + (f" decomposition {list(result.decomposition)}"
+                  if result.decomposition is not None else ""))
+    yield (f"normal up to level {bound}: {normal.normal_up_to_bound}"
+           + (f" (witness {list(normal.witness)})"
+              if normal.witness else ""))
+    yield (f"CM certification: {trung.status} (bound {bound}, "
+           f"hypothesis_ok {trung.hypothesis_ok})"
+           + (f" witness {list(trung.witness)}" if trung.witness else ""))
 
 
 def _cmd_semigroup(args):
@@ -397,6 +415,72 @@ def _parse(argv):
     return SimpleNamespace(run=run, **values)
 
 
+_ENCODE = json.encoder.encode_basestring_ascii
+
+
+def _json_text(obj) -> str:
+    """obj exactly as json.dumps(obj, indent=2, sort_keys=True) writes it.
+
+    With indent set, json.dumps runs its pure-Python encoder.  This walk
+    writes the same text in fewer chunks: each scalar is one chunk with
+    the separator, indent and key before it, strings are escaped by the
+    C function, integers by int.__repr__.  A stack of open containers
+    stands in for recursion.  Other types, and dicts with a non-string
+    key, go to json.dumps itself, re-indented to their depth, so their
+    bytes and their TypeError are the stdlib's.
+    """
+    chunks = []
+    emit = chunks.append
+    # per open container: the entries left, whether they are (key, value)
+    # pairs, and the indent and separator of its entries
+    stack = []
+    entries, keyed, newline, sep, lead = iter((obj,)), False, "\n", "", ""
+    while True:
+        for value in entries:
+            if keyed:
+                key, value = value
+                head = lead + _ENCODE(key) + ": "
+            else:
+                head = lead
+            lead = sep
+            kind = type(value)
+            if kind is int:
+                emit(head + int.__repr__(value))
+            elif kind is str:
+                emit(head + _ENCODE(value))
+            elif (kind is list or kind is tuple
+                  or kind is dict and all(type(k) is str for k in value)):
+                if not value:
+                    emit(head + ("{}" if kind is dict else "[]"))
+                    continue
+                stack.append((entries, keyed, newline, sep))
+                newline += "  "
+                if kind is dict:
+                    emit(head + "{" + newline)
+                    entries, keyed = iter(sorted(value.items())), True
+                else:
+                    emit(head + "[" + newline)
+                    entries, keyed = iter(value), False
+                sep, lead = "," + newline, ""
+                break
+            elif value is None:
+                emit(head + "null")
+            elif value is True:
+                emit(head + "true")
+            elif value is False:
+                emit(head + "false")
+            else:
+                emit(head + json.dumps(value, indent=2, sort_keys=True)
+                     .replace("\n", newline))
+        else:
+            if not stack:
+                return "".join(chunks)
+            close = "}" if keyed else "]"
+            entries, keyed, newline, sep = stack.pop()
+            emit(newline + close)
+            lead = sep
+
+
 def main(argv=None) -> int:
     try:
         args = _parse(sys.argv[1:] if argv is None else argv)
@@ -404,10 +488,15 @@ def main(argv=None) -> int:
             sys.stdout.write(args)
             return OK
         report, lines, status = args.run(args)
-        if args.format == "json":
-            text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-        else:
-            text = "\n".join(lines) + "\n"
+        # input was read under the int-to-str digit limit; a report's own
+        # integers, such as Betti numbers of large d, may exceed it
+        digits = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            text = (_json_text(report) if args.format == "json"
+                    else "\n".join(lines)) + "\n"
+        finally:
+            sys.set_int_max_str_digits(digits)
     except (_UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -484,13 +484,11 @@ def lemma_two_zero_check(t: int, box: int) -> bool:
     apery = _apery(H)[1]
     g = H.degree
     modulus = 3 * t
-    for zero_pos in range(3):
-        for a in range(1, box + 1):
-            for b in range(1, box + 1):
-                w = [a, b]
-                w.insert(zero_pos, 0)
-                expected = a % modulus == 0 and b % modulus == 0
-                entries = apery.get(tuple(c % g for c in w), ())
+    for a in range(1, box + 1):
+        for b in range(1, box + 1):
+            expected = a % modulus == 0 and b % modulus == 0
+            for w in ((0, a, b), (a, 0, b), (a, b, 0)):
+                entries = apery.get((w[0] % g, w[1] % g, w[2] % g), ())
                 if (_below(entries, w) is not None) != expected:
                     return False
     return True

@@ -2,9 +2,12 @@ import ast
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
+from collections import OrderedDict
 from dataclasses import replace
+from fractions import Fraction
 from math import comb, gcd
 from pathlib import Path
 
@@ -55,15 +58,109 @@ def test_h3t_huge_bound_is_counted_not_scanned(capsys):
     assert "CM certification: verified-up-to-bound (bound 1000000000" in out
 
 
-def test_json_round_trip(capsys):
-    for argv in (["hilbert", "1", "2", "3", "--format", "json"],
-                 ["betti", "1", "4", "8", "--format", "json"],
-                 ["ideal", "5", "0,1,3", "--format", "json"],
-                 ["classify", "3", "0,1,2", "--format", "json"]):
-        status, out, _ = run(capsys, *argv)
-        assert status == 0
+def test_json_round_trip(tmp_path, capsys):
+    path = tmp_path / "semigroup.json"
+    path.write_text(json.dumps(CUBIC_FILE))
+    for argv in (["hilbert", "1", "2", "3"], ["betti", "1", "4", "8"],
+                 ["ideal", "5", "0,1,3"], ["classify", "3", "0,1,2"],
+                 ["invariants", "7", "0,1,3", "--t", "3"],
+                 ["semigroup", str(path), "--member", "14,10,6"],
+                 ["h3t", "2"], ["hk", "2", "1"], ["verify-paper"]):
+        status, out, _ = run(capsys, *argv, "--format", "json")
+        assert status == 0, argv
         parsed = json.loads(out)
         assert json.dumps(parsed, indent=2, sort_keys=True) + "\n" == out
+
+
+# every value as the writer must see it: empty containers at several
+# depths, tuples, booleans among integers, integers past a machine word,
+# strings that need escapes, and the types the writer hands to json.dumps
+EDGE_VALUES = [
+    {}, [], (), [[]], [{}], {"a": {}}, {"a": [[[], {}]]}, [[[[]]]],
+    (1, (2, ())), [True, 1, False, 0, None], True, False, None, 0, -1,
+    -(2 ** 64) - 1, 2 ** 64 + 1, 3 ** 200, "", "plain",
+    'quote " backslash \\ slash /', "\x00\x01\b\f\n\r\t\x1f\x7f",
+    "caf\u00e9 \u00fc \u4e2d\u6587 \U0001f600 \u2028",
+    {"z": 1, "a": [1, -2, 3], "\u00e9": None, '"': "\\", "": ()},
+    {1: "int key", 2: [3, {"x": ()}]}, {True: 1, False: 2}, {2: 0, 1.5: 1},
+    OrderedDict([("b", 1), ("a", [2])]), [1.5, 1.0, -0.0, float("inf"), 1e300],
+]
+
+_TEXT = 'ab"\\/\n\t\x00\x1f\x7f\u00e9\u20ac\U0001f600 '
+
+
+def _random_value(rng, depth):
+    kind = rng.randrange(9 if depth < 4 else 5)
+    if kind == 0:
+        return rng.randint(-20, 20)
+    if kind == 1:
+        return rng.randint(-2 ** 100, 2 ** 100)
+    if kind == 2:
+        return rng.choice([True, False, None])
+    if kind in (3, 4):
+        return "".join(rng.choices(_TEXT, k=rng.randrange(5)))
+    values = [_random_value(rng, depth + 1) for _ in range(rng.randrange(5))]
+    if kind == 5:
+        return values
+    if kind == 6:
+        return tuple(values)
+    if kind == 7 and values:
+        return {rng.randint(-5, 5): v for v in values}
+    return {"".join(rng.choices(_TEXT, k=rng.randrange(4))): v
+            for v in values}
+
+
+def test_json_writer_matches_json_dumps():
+    cases = [outer for v in EDGE_VALUES for outer in (v, [v], {"k": [1, v]})]
+    rng = random.Random(2030)
+    cases += [_random_value(rng, 0) for _ in range(2000)]
+    for value in cases:
+        assert cli._json_text(value) == json.dumps(value, indent=2,
+                                                   sort_keys=True), value
+
+
+@pytest.mark.parametrize("value", [
+    {1, 2}, Fraction(1, 3), b"bytes", object(), {"a": [1, {2}]},
+    [(1, Fraction(1, 2))], {(1, 2): 3}, {1: 0, "a": 1}])
+def test_json_writer_rejects_what_json_dumps_rejects(value):
+    with pytest.raises(TypeError):
+        json.dumps(value, indent=2, sort_keys=True)
+    with pytest.raises(TypeError):
+        cli._json_text(value)
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_report_integers_past_the_digit_limit(capsys, monkeypatch, fmt):
+    # Betti numbers of d = 29,001 pass Python's 4,300-digit int-to-str
+    # limit; a 5,000-digit numerator coefficient stands in for them
+    big = 10 ** 5000 - 1
+    real = cli.series_from_betti
+    monkeypatch.setattr(cli, "series_from_betti", lambda table: replace(
+        real(table), numerator=(big, *real(table).numerator)))
+    limit = sys.get_int_max_str_digits()
+    status, out, err = run(capsys, "betti", "1", "4", "8", "--format", fmt)
+    assert (status, err) == (0, "")
+    assert "9" * 5000 in out
+    # the limit is lifted only while the report is written
+    assert sys.get_int_max_str_digits() == limit
+    with pytest.raises(ValueError):
+        str(big)
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_semigroup_witness_past_the_digit_limit(tmp_path, capsys, fmt):
+    # a cm-scan set scaled by c: no input coordinate has more than 4,300
+    # digits, but the CM witness (7c, 3c, 0) has 4,301
+    c = 15 * 10 ** 4298
+    generators = [[c * x for x in gen] for gen in (
+        (5, 0, 0), (4, 1, 0), (4, 0, 1), (1, 4, 0), (0, 5, 0), (0, 3, 2),
+        (0, 0, 5))]
+    path = tmp_path / "semigroup.json"
+    path.write_text(json.dumps({"dim": 3, "generators": generators}))
+    status, out, err = run(capsys, "semigroup", str(path), "--bound", "2",
+                           "--format", fmt)
+    assert (status, err) == (0, "")
+    assert "105" + "0" * 4298 in out
 
 
 def test_deterministic_output(capsys):
@@ -656,7 +753,8 @@ CUBIC_FILE = {"dim": 3, "generators": [[5, 0, 0], [0, 5, 0], [0, 0, 5],
     "k-devanagari-digit", "tprime-underscore", "bound-arabic-digit",
     "semigroup-bound-underscore", "semigroup-deep-json", "ideal-deep-json",
     "action-over-depth-limit", "member-empty", "output-empty",
-    "file-empty-with-inline", "action-not-object",
+    "file-empty-with-inline", "action-not-object", "d-past-digit-limit",
+    "action-file-past-digit-limit",
 ])
 def test_bad_input_never_ends_in_traceback(tmp_path, capsys, case):
     # every failure is one "error:" line on stderr, exit 1, no report
@@ -673,6 +771,10 @@ def test_bad_input_never_ends_in_traceback(tmp_path, capsys, case):
     nested.write_text(_nested_action(cli.JSON_MAX_DEPTH + 1))
     listed = tmp_path / "listed.json"
     listed.write_text("[1, 2]")
+    # a report may pass the int-to-str digit limit, its input may not
+    digits = "1" * 5000
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"d": ' + digits + ', "weights": [0, 1, 3]}')
     argv = {
         "missing-file": ["semigroup", str(tmp_path / "absent.json")],
         "directory-input": ["classify", "--file", str(tmp_path)],
@@ -711,6 +813,8 @@ def test_bad_input_never_ends_in_traceback(tmp_path, capsys, case):
         "output-empty": ["classify", "5", "0,1,3", "--output", ""],
         "file-empty-with-inline": ["invariants", "3", "0,1,2", "--file", ""],
         "action-not-object": ["classify", "--file", str(listed)],
+        "d-past-digit-limit": ["betti", "1", "2", digits],
+        "action-file-past-digit-limit": ["ideal", "--file", str(huge)],
     }[case]
     status, out, err = run(capsys, *argv)
     assert (status, out) == (1, "")
