@@ -16,7 +16,7 @@ invariant_monomials and count_invariants.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import le
 
 from .exactalg import InternalDiscrepancy, exact_int
@@ -25,28 +25,32 @@ from .exactalg import InternalDiscrepancy, exact_int
 ExponentVector = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class CyclicAction:
+class CyclicAction(namedtuple("CyclicAction", "d weights")):
     """Order-d diagonal action given by its residue weights.
 
     Weights are reduced mod d at construction but deliberately not
     sorted, so variable labels stay aligned with the caller's input.
-    The standing hypothesis gcd(w0, ..., wn, d) = 1 is enforced.
+    The standing hypothesis gcd(w0, ..., wn, d) = 1 is enforced on every
+    way in: the constructor, _make and _replace.
     """
 
-    d: int
-    weights: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.d < 2:
+    def __new__(cls, d: int, weights: tuple[int, ...]):
+        if d < 2:
             raise ValueError("group order d must be at least 2")
-        if len(self.weights) < 2:
+        if len(weights) < 2:
             raise ValueError("need at least two variables")
-        reduced = tuple(w % self.d for w in self.weights)
-        object.__setattr__(self, "weights", reduced)
-        if math.gcd(*reduced, self.d) != 1:
+        reduced = tuple(w % d for w in weights)
+        if math.gcd(*reduced, d) != 1:
             raise ValueError(
-                f"gcd of weights {reduced} and order {self.d} must be 1")
+                f"gcd of weights {reduced} and order {d} must be 1")
+        return super().__new__(cls, d, reduced)
+
+    @classmethod
+    def _make(cls, iterable) -> "CyclicAction":
+        # _replace builds through _make, so it validates too
+        return cls(*iterable)
 
     @property
     def n(self) -> int:

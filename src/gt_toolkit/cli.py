@@ -61,7 +61,12 @@ def _int(text: str) -> int:
     """
     if _INTEGER.fullmatch(text) is None:
         raise ValueError(f"invalid int value: {text!r}")
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:
+        # int()'s own message here points at a Python call
+        raise ValueError(f"integer has more than "
+                         f"{sys.get_int_max_str_digits()} digits") from None
 
 
 def _format(text: str) -> str:
@@ -113,6 +118,10 @@ def _load_json(path: str) -> dict:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise _UsageError(f"invalid JSON in {path}: {exc}")
+    except ValueError:
+        # the decoder's only other ValueError: int() past the digit limit
+        raise _UsageError(f"an integer in {path} has more than "
+                          f"{sys.get_int_max_str_digits()} digits") from None
 
 
 def _action_from_args(args) -> CyclicAction:
@@ -182,7 +191,7 @@ def _cmd_hilbert(args):
                       "reduced": reduced, "closed_form": closed})
     notes = list(catalog_notes(profile))
     # mu_d here is the theta formula's value, beside the profile's count
-    invariants = {"mu_d": (profile.d + profile.theta + 2) // 2,
+    invariants = {"mu_d": profile.mu_d_from_theta,
                   "degree": profile.degree, "codim": profile.codim,
                   "cm_type": profile.cm_type, "reg": profile.reg}
     report = {"profile": profile.to_dict(), "hilbert": data.to_dict(),

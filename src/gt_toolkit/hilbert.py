@@ -17,8 +17,8 @@ on every read, so a mismatch is flagged instead of silently choosing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .actions import CyclicAction, count_invariants
 from .exactalg import InternalDiscrepancy
@@ -91,14 +91,14 @@ def hf_reduced(a: int, b: int, d: int, t: int) -> int:
     return _reduced_count(b, a, d, t)
 
 
-@dataclass(frozen=True)
-class SurfaceProfile:
+class SurfaceProfile(NamedTuple):
     """Derived scalars of the GT-surface for weights (0, a, b) mod d.
 
     theta holds the gcd-formula value; mu_d holds the enumeration count
     of degree-d invariants.  consistent says whether they agree via
     mu_d = (d + theta + 2) / 2.  When they disagree both values stay
-    available (theta_from_count) and every consumer can see the flag.
+    available (theta_from_count, mu_d_from_theta) and every consumer
+    can see the flag.
     """
 
     a: int
@@ -118,6 +118,10 @@ class SurfaceProfile:
     @property
     def theta_from_count(self) -> int:
         return 2 * self.mu_d - self.d - 2
+
+    @property
+    def mu_d_from_theta(self) -> int:
+        return (self.d + self.theta + 2) // 2
 
     @property
     def consistent(self) -> bool:
@@ -195,8 +199,7 @@ def hf_closed_form(profile: SurfaceProfile, t: int) -> int:
     return q
 
 
-@dataclass(frozen=True)
-class HilbertData:
+class HilbertData(NamedTuple):
     """Hilbert polynomial, series numerator and value table of a surface."""
 
     polynomial: tuple[Fraction, Fraction, Fraction]  # leading first

@@ -8,15 +8,14 @@ generators independently, from the fibers of the toric ideal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
+from typing import NamedTuple
 
 from .exactalg import InternalDiscrepancy, binomial
 from .hilbert import SurfaceProfile, hilbert_series
 
 
-@dataclass(frozen=True)
-class BettiTable:
+class BettiTable(NamedTuple):
     """Graded ranks b(l, i) with twists -(l+i) of the minimal resolution.
 
     Only nonzero ranks are stored. c is the codimension (projective
@@ -83,13 +82,12 @@ def betti_table(profile: SurfaceProfile) -> BettiTable:
     return BettiTable(profile=profile, c=c, h=h, case=case, entries=entries)
 
 
-@dataclass(frozen=True)
-class GeneratorCounts:
+class GeneratorCounts(NamedTuple):
     quadrics: int
     cubics: int
 
     def to_dict(self) -> dict:
-        return {"quadrics": self.quadrics, "cubics": self.cubics}
+        return self._asdict()
 
 
 def generator_counts(table: BettiTable) -> GeneratorCounts:
@@ -112,8 +110,7 @@ def generator_counts(table: BettiTable) -> GeneratorCounts:
     return counts
 
 
-@dataclass(frozen=True)
-class RationalSeries:
+class RationalSeries(NamedTuple):
     """Power series numerator over (1-z)^pole_order, fully reduced."""
 
     numerator: tuple[int, ...]

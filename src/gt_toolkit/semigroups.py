@@ -40,11 +40,11 @@ such an H always has.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from operator import add, le, mod
+from typing import NamedTuple
 
-from .actions import (CyclicAction, ExponentVector, exponent_vectors,
-                      invariant_monomials)
+from .actions import CyclicAction, exponent_vectors, invariant_monomials
 from .exactalg import InternalDiscrepancy, binomial, exact_int
 
 
@@ -52,21 +52,14 @@ class UnsupportedSemigroupError(ValueError):
     """The semigroup lacks the axis multiples the cone logic relies on."""
 
 
-@dataclass(frozen=True)
-class AffineSemigroup:
+class AffineSemigroup(namedtuple("AffineSemigroup", "dim generators degree")):
     """Homogeneous affine semigroup with a fixed generator list.
 
     Generators are deduplicated and stored lex descending; all of them
-    must share the same positive coordinate sum.
+    must share the same positive coordinate sum.  Without __slots__ each
+    instance has a __dict__, where _apery keeps Ap(H) once built;
+    equality and hashing read the three fields only.
     """
-
-    dim: int
-    generators: tuple[ExponentVector, ...]
-    degree: int
-
-    # the Apery set, built on first use
-    _cache: dict = field(default_factory=dict, init=False,
-                         repr=False, compare=False)
 
     @classmethod
     def from_generators(cls, generators) -> "AffineSemigroup":
@@ -155,8 +148,7 @@ def make_hk(k: int, t_prime: int) -> AffineSemigroup:
     return semigroup
 
 
-@dataclass(frozen=True)
-class Membership:
+class Membership(NamedTuple):
     member: bool
     decomposition: tuple[int, ...] | None
 
@@ -236,7 +228,7 @@ def _apery(H: AffineSemigroup) -> tuple[tuple[int, ...], dict]:
     so each element keeps the decomposition, and each class the key and
     entry order, that a tuple-keyed build finds.
     """
-    cache = H._cache
+    cache = vars(H)
     if "apery" in cache:
         return cache["apery"]
     axes = H.axis_generator_indices()
@@ -313,8 +305,7 @@ def _classes(H: AffineSemigroup) -> list:
             for key, entries in _apery(H)[1].items()]
 
 
-@dataclass(frozen=True)
-class NormalityReport:
+class NormalityReport(NamedTuple):
     normal_up_to_bound: bool
     bound: int
     witness: tuple[int, ...] | None
@@ -360,8 +351,7 @@ def is_normal_up_to(H: AffineSemigroup, bound: int) -> NormalityReport:
     return NormalityReport(False, bound, max(gaps)[1])
 
 
-@dataclass(frozen=True)
-class TrungReport:
+class TrungReport(NamedTuple):
     """Outcome of the bounded Cohen-Macaulayness certification.
 
     status is "verified-up-to-bound" when no witness exists through the

@@ -8,9 +8,9 @@ to x0+...+xn = 0 are dependent (wlp_fails_in_degree cites the proofs).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import factorial, prod
 from operator import add
+from typing import NamedTuple
 
 from .actions import CyclicAction, exponent_vectors, invariant_monomials, mu_d
 from .exactalg import binomial, integer_rank
@@ -21,8 +21,7 @@ def generator_bound(action: CyclicAction) -> int:
     return binomial(action.d + action.n - 1, action.n - 1)
 
 
-@dataclass(frozen=True)
-class WlpCheck:
+class WlpCheck(NamedTuple):
     """Rank data of multiplication by x0+...+xn between two quotient degrees."""
 
     j: int
@@ -34,10 +33,7 @@ class WlpCheck:
     fails: bool
 
     def to_dict(self) -> dict:
-        return {"j": self.j, "dim_source": self.dim_source,
-                "dim_target": self.dim_target, "rank": self.rank,
-                "kernel_dimension": self.kernel_dimension,
-                "test": self.test, "fails": self.fails}
+        return self._asdict()
 
 
 def wlp_fails_in_degree(action: CyclicAction, j: int) -> WlpCheck:
@@ -81,8 +77,7 @@ def wlp_fails_in_degree(action: CyclicAction, j: int) -> WlpCheck:
                     fails=rank < min(dim_source, dim_target))
 
 
-@dataclass(frozen=True)
-class GtClassification:
+class GtClassification(NamedTuple):
     action: CyclicAction
     mu_d: int
     bound: int

@@ -25,9 +25,9 @@ verify-paper and the tests compare the closure against them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
 from operator import add, mul
+from typing import NamedTuple
 
 from .actions import (CyclicAction, ExponentVector, count_invariants,
                       invariant_monomials, mu_d)
@@ -38,8 +38,7 @@ from .hilbert import hf_by_counting
 Binomial = tuple[tuple[int, ...], tuple[int, ...]]
 
 
-@dataclass(frozen=True)
-class FiberPartition:
+class FiberPartition(NamedTuple):
     """Generator pairs grouped by product monomial."""
 
     generators: tuple[ExponentVector, ...]
@@ -81,8 +80,7 @@ def ideal_dimension(action: CyclicAction, j: int) -> int:
     return binomial(m + j - 1, j) - hf_by_counting(action, j)
 
 
-@dataclass(frozen=True)
-class BinomialGeneratorSet:
+class BinomialGeneratorSet(NamedTuple):
     """Minimal binomial generators in degrees 2 and 3, plus a closure marker.
 
     degree4_deficit counts the degree-4 ideal dimensions not reached by

@@ -10,8 +10,8 @@ the fixtures carry the corrected sets, which match the stated counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import add
+from typing import NamedTuple
 
 from .actions import CyclicAction, egz_factor, invariant_monomials, is_invariant, mu_d
 from .hilbert import (catalog_notes, hf_by_counting, hf_reduced,
@@ -24,14 +24,13 @@ from .togliatti import classify, wlp_fails_in_degree
 from .toricideal import fiber_partition, ideal_dimension, minimal_generators
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     ok: bool
     detail: str = ""
 
     def to_dict(self) -> dict:
-        return {"name": self.name, "ok": self.ok, "detail": self.detail}
+        return self._asdict()
 
 
 # ---------------------------------------------------------------- fixtures

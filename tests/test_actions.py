@@ -1,6 +1,8 @@
 import ast
 import inspect
+import os
 import random
+import subprocess
 import sys
 from itertools import combinations_with_replacement, product
 from math import gcd
@@ -9,7 +11,8 @@ from pathlib import Path
 import pytest
 
 import gt_toolkit
-from gt_toolkit import actions
+from gt_toolkit import (actions, hilbert, resolution, semigroups,
+                        togliatti, toricideal, verify)
 from gt_toolkit.actions import (CyclicAction, count_invariants, degree,
                                 egz_factor, exponent_vectors,
                                 format_monomial, invariant_monomials,
@@ -28,6 +31,21 @@ def test_action_validation():
         CyclicAction(5, (1,))
     assert CyclicAction(5, (0, 6, 13)).weights == (0, 1, 3)
     assert CyclicAction(2, (0, 1, 1, 1, 1)).n == 4  # d <= n is accepted
+
+
+@pytest.mark.parametrize("d, weights", [(1, (0, 1)), (4, (0, 2)), (5, (1,))])
+def test_action_validation_on_every_way_in(d, weights):
+    # d < 2, fewer than two weights and gcd != 1, through the
+    # constructor, _make and _replace alike
+    action = CyclicAction(5, (0, 1, 3))
+    for build in (lambda: CyclicAction(d, weights),
+                  lambda: CyclicAction(d=d, weights=weights),
+                  lambda: CyclicAction._make((d, weights)),
+                  lambda: action._replace(d=d, weights=weights)):
+        with pytest.raises(ValueError):
+            build()
+    assert action._replace(weights=(5, 6, 13)) == action
+    assert type(CyclicAction._make((5, (0, 1, 3)))) is CyclicAction
 
 
 def test_action_dict_round_trip():
@@ -180,6 +198,48 @@ def test_every_imported_name_is_read():
         unread += [f"{path.name}:{line} {name}" for name, line in imported
                    if name not in read]
     assert unread == []
+
+
+def test_cli_start_up_loads_neither_dataclasses_nor_inspect():
+    # dataclasses pulls in inspect, ast, dis and tokenize, and generates
+    # the methods of every class it builds; the records are named tuples
+    src = Path(gt_toolkit.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", "import gt_toolkit.cli, sys; print("
+         "sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+        capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)))
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+
+
+def test_every_record_is_immutable():
+    action = CyclicAction(5, (0, 1, 3))
+    profile = hilbert.surface_profile(1, 3, 5)
+    table = resolution.betti_table(profile)
+    H = semigroups.semigroup_of_action(action)
+    records = [action, profile, hilbert.hilbert_series(profile), table,
+               resolution.generator_counts(table),
+               resolution.series_from_betti(table), H,
+               semigroups.member(H, (5, 0, 0)),
+               semigroups.is_normal_up_to(H, 2),
+               semigroups.trung_cm_check(H, 2),
+               togliatti.wlp_fails_in_degree(action, 4),
+               togliatti.classify(action), toricideal.fiber_partition(action),
+               toricideal.minimal_generators(action),
+               verify.CheckResult("check", True)]
+    modules = [m for name, m in list(sys.modules.items())
+               if name.startswith("gt_toolkit.")]
+    declared = {value for m in modules for value in vars(m).values()
+                if inspect.isclass(value) and hasattr(value, "_fields")
+                and value.__module__ == m.__name__}
+    assert declared == {type(r) for r in records}
+    assert len(declared) == 15
+    for record in records:
+        for name in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, name, getattr(record, name))
+            with pytest.raises(AttributeError):
+                delattr(record, name)
 
 
 def test_invariant_monomials_goldens():

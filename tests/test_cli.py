@@ -6,7 +6,6 @@ import random
 import subprocess
 import sys
 from collections import OrderedDict
-from dataclasses import replace
 from fractions import Fraction
 from math import comb, gcd
 from pathlib import Path
@@ -135,8 +134,9 @@ def test_report_integers_past_the_digit_limit(capsys, monkeypatch, fmt):
     # limit; a 5,000-digit numerator coefficient stands in for them
     big = 10 ** 5000 - 1
     real = cli.series_from_betti
-    monkeypatch.setattr(cli, "series_from_betti", lambda table: replace(
-        real(table), numerator=(big, *real(table).numerator)))
+    monkeypatch.setattr(
+        cli, "series_from_betti", lambda table: real(table)._replace(
+            numerator=(big, *real(table).numerator)))
     limit = sys.get_int_max_str_digits()
     status, out, err = run(capsys, "betti", "1", "4", "8", "--format", fmt)
     assert (status, err) == (0, "")
@@ -368,15 +368,40 @@ def test_ideal_json_formats_no_table_text(capsys, monkeypatch):
     assert calls["_binomial_str"] > 0 and calls["format_monomial"] > 0
 
 
+# sha256 of each subcommand's output; FILE stands for a file holding
+# CUBIC_FILE.  Every record that the text reads is pinned here.
 @pytest.mark.parametrize("argv, digest", [
-    (("7", "0,1,3"),
+    (("ideal", "7", "0,1,3"),
      "9625ca47caa85c3335bea6f7f4d062b288b002c55d6b4f277c8d554e89057d8b"),
-    (("6", "0,1,2,4"),
+    (("ideal", "6", "0,1,2,4"),
      "e12450b6e4d530b37e7feddcc40cbdd17db5d3ae90d8b05a0fda5bfca7bddafe"),
+    (("invariants", "7", "0,1,3", "--t", "2"),
+     "f6411c49c569d0f0fcc502a11aa91b12f817201a408e060b23bfdb06f81ae468"),
+    (("invariants", "7", "0,1,3", "--t", "2", "--format", "json"),
+     "284f5987a1313989b4d2bd294e52b1e85e62ee1cfacde9362827ed293ee2ea2c"),
+    (("classify", "7", "0,1,3"),
+     "8b31950d7cddddf5344f961f5d40851151d88c20e25aa44bc4f368e32170fb09"),
+    (("hilbert", "1", "3", "7"),
+     "ffea0295df4a634956649d08ae61cd1c4df4b73d85043ccb762a21cf1df6aa3c"),
+    (("betti", "1", "3", "7"),
+     "83541fb05268fbc9886202c4de86c8e1edb797ab6fcc6d551a41a604b82bb529"),
+    (("semigroup", "FILE", "--member", "8,6,6"),
+     "067256b3b21d7f83057ee9fc58a99b06065f196d0f772fa337d0e2c1133b4a38"),
+    (("semigroup", "FILE", "--member", "8,6,6", "--format", "json"),
+     "4cd3397f60e47a6ca3745bef119b3dd22768adfa1013467b52dd711aa5d2d921"),
+    (("h3t", "2"),
+     "3b3953823d81ceb1aef6b94e1326f9f5b159ae5d1d1ad74a3fd7fc2c70701efd"),
+    (("hk", "2", "1"),
+     "e8a3faea82c9ac501329bf511fd8c9e8bb8b9be49dc7b9a5631c5b173823edc6"),
+    (("verify-paper",),
+     "fc167d9a9015e2ca01b4c04189f389406b5519c23762713f305d0326300a8d18"),
 ])
-def test_ideal_table_bytes_are_pinned(capsys, argv, digest):
+def test_table_bytes_are_pinned(tmp_path, capsys, argv, digest):
     # the table text is built lazily; its bytes stay as before
-    status, out, _ = run(capsys, "ideal", *argv)
+    path = tmp_path / "semigroup.json"
+    path.write_text(json.dumps(CUBIC_FILE))
+    status, out, _ = run(capsys, *(str(path) if a == "FILE" else a
+                                   for a in argv))
     assert status == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
@@ -439,7 +464,7 @@ REFERENCE_MUTATIONS = [
                  None, id="threefold_b11"),
     pytest.param("cubic surface b(1,1)=0 and b(1,2)=1",
                  _during("cubic_b1", "minimal_generators",
-                         lambda g, action: replace(g, cubics=g.cubics * 2)),
+                         lambda g, action: g._replace(cubics=g.cubics * 2)),
                  None, id="cubic_b1"),
     pytest.param("EGZ factorization examples",
                  _during("egz", "egz_factor",
@@ -449,12 +474,12 @@ REFERENCE_MUTATIONS = [
     pytest.param("WLP failure",
                  _during("wlp", "wlp_fails_in_degree",
                          _when(lambda action, j: action.d == 3,
-                               lambda c: replace(c, kernel_dimension=2))),
+                               lambda c: c._replace(kernel_dimension=2))),
                  None, id="wlp"),
     pytest.param("GT classification families",
                  _during("classification_families", "classify",
                          _when(lambda action: action.d == 6,
-                               lambda r: replace(r, is_gt_system=False))),
+                               lambda r: r._replace(is_gt_system=False))),
                  (6, (0, 1, 2)), id="classification_families"),
     pytest.param("surface profiles (lambda, mu, theta)",
                  _fixture("PROFILE_VALUES", (3, 5, 8), (7, -2, 5)),
@@ -479,8 +504,8 @@ REFERENCE_MUTATIONS = [
                  (1, 3, 5), id="generator_counts"),
     pytest.param("cubic surface ideal",
                  _during("cubic_ideal", "minimal_generators",
-                         lambda g, action: replace(
-                             g, cubics=(((0, 0, 0), g.cubics[0][1]),))),
+                         lambda g, action: g._replace(
+                             cubics=(((0, 0, 0), g.cubics[0][1]),))),
                  None, id="cubic_ideal"),
     pytest.param("toric ideal dimensions",
                  _during("ideal_dimensions", "ideal_dimension",
@@ -493,13 +518,13 @@ REFERENCE_MUTATIONS = [
     pytest.param("membership facts",
                  _during("membership_facts", "member",
                          _when(lambda H, w: w == (0, 15, 9),
-                               lambda m: replace(m, member=True))),
+                               lambda m: m._replace(member=True))),
                  (0, 15, 9), id="membership_facts"),
     pytest.param("normality witness",
                  _during("normality", "is_normal_up_to",
                          _when(lambda H, bound: H.degree == 5,
-                               lambda r: replace(r, normal_up_to_bound=False,
-                                                 witness=(5, 5, 5)))),
+                               lambda r: r._replace(normal_up_to_bound=False,
+                                                    witness=(5, 5, 5)))),
                  (5, (0, 1, 3)), id="normality"),
     pytest.param("one-zero-coordinate membership lemma",
                  _during("lemma_two_zero", "lemma_two_zero_check",
@@ -508,21 +533,21 @@ REFERENCE_MUTATIONS = [
     pytest.param("CM certification of the shifted family",
                  _during("trung_families", "trung_cm_check",
                          _when(lambda H, bound: H == make_hk(2, 2),
-                               lambda r: replace(r, status="counterexample"))),
+                               lambda r: r._replace(status="counterexample"))),
                  "hk(2, 2)", id="trung_families"),
     pytest.param("CM certification of GT semigroups",
                  _during("trung_gt", "trung_cm_check",
                          _when(lambda H, bound: H.degree == 5,
-                               lambda r: replace(r, status="counterexample"))),
+                               lambda r: r._replace(status="counterexample"))),
                  (5, (0, 1, 3)), id="trung_gt"),
     pytest.param("non-aCM counterexample",
                  _during("non_acm_counterexample", "member",
-                         lambda m, H, w: replace(m, member=True)),
+                         lambda m, H, w: m._replace(member=True)),
                  None, id="non_acm_counterexample"),
     pytest.param("non-aCM counterexample",
                  _during("non_acm_counterexample", "trung_cm_check",
-                         lambda r, H, bound: replace(
-                             r, status="verified-up-to-bound", witness=None)),
+                         lambda r, H, bound: r._replace(
+                             status="verified-up-to-bound", witness=None)),
                  None, id="non_acm_without_witness"),
     pytest.param("published catalogue notes",
                  _during("catalog_notes", "catalog_notes",
@@ -583,7 +608,7 @@ def test_output_does_not_depend_on_the_hash_seed():
 def test_inconsistent_profile_is_flagged(capsys, monkeypatch):
     # a profile whose count disagrees with theta is flagged and exits 2;
     # the invariants block keeps the theta formula's mu_d beside it
-    stale = replace(surface_profile(1, 3, 6), mu_d=8)
+    stale = surface_profile(1, 3, 6)._replace(mu_d=8)
     monkeypatch.setattr(cli, "surface_profile", lambda a, b, d: stale)
     status, out, _ = run(capsys, "hilbert", "1", "3", "6", "--format", "json")
     report = json.loads(out)
@@ -836,6 +861,13 @@ def test_bad_input_never_ends_in_traceback(tmp_path, capsys, case):
             run(capsys, "classify", "5", "0,1,3")
     if case == "file-empty-with-inline":
         assert err == "error: give either d and weights or --file, not both\n"
+    if case == "d-past-digit-limit":
+        assert err == "error: argument d: integer has more than 4300 digits\n"
+    if case == "action-file-past-digit-limit":
+        assert err == (f"error: an integer in {huge} has more than 4300 "
+                       "digits\n")
+    if case.endswith("-past-digit-limit"):
+        assert "set_int_max_str_digits" not in err
     if case == "action-not-object":
         assert err == ("error: malformed action input: need a JSON object "
                        "with d and weights\n")

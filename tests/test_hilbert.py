@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from fractions import Fraction
 from math import gcd
 
@@ -48,7 +47,7 @@ def test_surface_profile_goldens():
     # replaced count instead of going stale
     p = surface_profile(1, 3, 6)
     assert p.consistent and p.flags == ()
-    stale = replace(p, mu_d=8)
+    stale = p._replace(mu_d=8)
     assert not stale.consistent and len(stale.flags) == 1
 
 

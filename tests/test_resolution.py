@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import pytest
 
 from gt_toolkit.actions import CyclicAction
@@ -63,7 +61,7 @@ def test_generator_counts_match_first_column():
 
 def test_generator_counts_check_the_given_table():
     table = betti_table(surface_profile(1, 3, 6))
-    wrong = replace(table, entries={**table.entries, (1, 1): 8})
+    wrong = table._replace(entries={**table.entries, (1, 1): 8})
     with pytest.raises(InternalDiscrepancy):
         generator_counts(wrong)
 
@@ -156,7 +154,7 @@ def test_series_matches_reference_division():
         assert series.matches_closed_form, triple
         for key in ((1, 1), (2, 1), (1, 2)):
             for step in (-1, 1):
-                changed = replace(table, entries={
+                changed = table._replace(entries={
                     **table.entries, key: table.rank(*key) + step})
                 series = series_from_betti(changed)
                 assert series.to_dict() == _reference_series(changed), \

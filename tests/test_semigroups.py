@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from math import gcd
 
 import pytest
@@ -158,6 +157,18 @@ def test_member_deep_query():
     assert len(result.decomposition) == 1500
     assert list(result.decomposition) == sorted(result.decomposition)
     assert resums(CUBIC, w, result.decomposition)
+
+
+def test_apery_cache_is_per_instance_and_outside_equality():
+    H = make_h3t(2)
+    twin = AffineSemigroup.from_generators(H.generators)
+    assert member(H, (2, 2, 2)).member  # builds Ap(H) for H alone
+    assert "apery" in vars(H) and "apery" not in vars(twin)
+    assert H == twin and hash(H) == hash(twin)
+    copy = H._replace(degree=H.degree)
+    assert type(copy) is AffineSemigroup and copy == H
+    assert vars(copy) == {}
+    assert member(copy, (2, 2, 2)) == member(H, (2, 2, 2))
 
 
 def test_member_needs_axis_multiples():
@@ -402,7 +413,7 @@ def test_cm_scan_cost_is_independent_of_the_bound(monkeypatch):
         report = trung_cm_check(H, 10**9)
         assert report.status == "counterexample", H.generators
         low = report.stats["levels_scanned"] - 1
-        assert trung_cm_check(H, low) == replace(report, bound=low)
+        assert trung_cm_check(H, low) == report._replace(bound=low)
 
 
 def _orthant_filter(H, bound):
