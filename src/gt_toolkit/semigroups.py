@@ -9,12 +9,13 @@ Membership runs on the Apery set of H with respect to the axis
 generators, Ap(H) = {h in H | h - g*e_i is not in H for every i}.  Every
 element of H is an Apery element plus nonnegative multiples of the g*e_i,
 and Ap(H) is finite, so w lies in H exactly when some Apery element a
-with a = w (mod g) coordinatewise satisfies a <= w.  Ap(H) is built once
-per semigroup, level by level, and cached; the sums a + generator of a
-level are keyed by packed integers, and only distinct sums become
-tuples.  Each Apery element is re-summed from its generator indices
-when it is stored.  A query never recurses and allocates nothing that
-outlives it.
+with a = w (mod g) coordinatewise satisfies a <= w.  Ap(H) is built
+level by level, once per semigroup value in a process: equal semigroups
+share one build, and a bounded cache keeps the APERY_CACHE_SIZE most
+recently used.  The sums a + generator of a level are keyed by packed
+integers, and only distinct sums become tuples.  Each Apery element is
+re-summed from its generator indices when it is stored.  A query never
+recurses and allocates nothing that outlives it.
 
 Cohen-Macaulayness is certified through the one-dimensional test set
 
@@ -41,11 +42,17 @@ such an H always has.
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import lru_cache
 from operator import add, le, mod
 from typing import NamedTuple
 
 from .actions import CyclicAction, exponent_vectors, invariant_monomials
 from .exactalg import InternalDiscrepancy, binomial, exact_int
+
+
+# distinct semigroups whose Apery sets stay built: more than a batch of
+# CM scans and a verify-paper run use together
+APERY_CACHE_SIZE = 32
 
 
 class UnsupportedSemigroupError(ValueError):
@@ -56,10 +63,12 @@ class AffineSemigroup(namedtuple("AffineSemigroup", "dim generators degree")):
     """Homogeneous affine semigroup with a fixed generator list.
 
     Generators are deduplicated and stored lex descending; all of them
-    must share the same positive coordinate sum.  Without __slots__ each
-    instance has a __dict__, where _apery keeps Ap(H) once built;
-    equality and hashing read the three fields only.
+    must share the same positive coordinate sum.  Equality and hashing
+    read the three fields, so equal semigroups share one Apery build;
+    no instance carries state beyond them.
     """
+
+    __slots__ = ()
 
     @classmethod
     def from_generators(cls, generators) -> "AffineSemigroup":
@@ -203,8 +212,14 @@ def _resum(H: AffineSemigroup, indices) -> tuple[int, ...]:
     return tuple(map(sum, zip((0,) * H.dim, *parts)))
 
 
+@lru_cache(maxsize=APERY_CACHE_SIZE)
 def _apery(H: AffineSemigroup) -> tuple[tuple[int, ...], dict]:
     """Axis generator indices and Ap(H), keyed by residue mod g.
+
+    Cached by H's value: every call with an equal semigroup returns the
+    same tuple, dict and lists, so they are shared and read-only; member,
+    _classes, trung_cm_check and lemma_two_zero_check only read them.  A
+    call that raises stores nothing, so an equal call raises again.
 
     Raises UnsupportedSemigroupError when H lacks an axis multiple; every
     caller relies on this one check.  Each residue maps to a list of
@@ -228,9 +243,6 @@ def _apery(H: AffineSemigroup) -> tuple[tuple[int, ...], dict]:
     so each element keeps the decomposition, and each class the key and
     entry order, that a tuple-keyed build finds.
     """
-    cache = vars(H)
-    if "apery" in cache:
-        return cache["apery"]
     axes = H.axis_generator_indices()
     if axes is None:
         raise UnsupportedSemigroupError(
@@ -265,7 +277,6 @@ def _apery(H: AffineSemigroup) -> tuple[tuple[int, ...], dict]:
                         f"Apery element {h} does not re-sum")
                 known.append((h, indices))
                 level.append((p, h, indices))
-    cache["apery"] = (axes, apery)
     return axes, apery
 
 

@@ -235,6 +235,8 @@ def test_every_record_is_immutable():
     assert declared == {type(r) for r in records}
     assert len(declared) == 15
     for record in records:
+        with pytest.raises(AttributeError):
+            record.extra = 1
         for name in record._fields:
             with pytest.raises(AttributeError):
                 setattr(record, name, getattr(record, name))

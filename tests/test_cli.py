@@ -16,7 +16,7 @@ from gt_toolkit import cli, resolution, togliatti, toricideal, verify
 from gt_toolkit.actions import (CyclicAction, format_monomial,
                                 invariant_monomials, mu_d)
 from gt_toolkit.hilbert import hf_closed_form, surface_profile
-from gt_toolkit.semigroups import make_hk
+from gt_toolkit.semigroups import _apery, make_hk
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -713,6 +713,38 @@ def test_semigroup_member_with_big_integer_coordinates(tmp_path, capsys):
     total = [sum(gens[i][k] for i in answer["decomposition"])
              for k in range(3)]
     assert total == query
+
+
+def test_reports_do_not_depend_on_the_apery_cache(tmp_path, capsys):
+    # two files hold one generator set, shuffled and with a repeat, so
+    # the second is served by the first's Apery build; every report of a
+    # warm process must read as it does from a cold one
+    generators = [[5, 0, 0], [0, 5, 0], [0, 0, 5], [3, 1, 1], [2, 2, 1],
+                  [1, 3, 1]]
+    listed = generators + [generators[3]]
+    random.Random(7).shuffle(listed)
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    first.write_text(json.dumps({"dim": 3, "generators": generators}))
+    second.write_text(json.dumps({"dim": 3, "generators": listed}))
+    argvs = [("semigroup", str(path), "--bound", str(bound), "--member",
+              query, "--format", "json")
+             for path, bound, query in ((first, 6, "4,3,3"),
+                                        (second, 6, "4,3,3"),
+                                        (second, 8, "14,10,6"),
+                                        (first, 4, "2819,2747,1934"))]
+    argvs += [("h3t", "3", "--bound", "8", "--format", "json"),
+              ("h3t", "2", "--bound", "6", "--format", "json"),
+              ("hk", "2", "1", "--bound", "8", "--format", "json"),
+              ("verify-paper", "--format", "json")]
+    cold = {}
+    for argv in argvs:
+        _apery.cache_clear()
+        cold[argv] = run(capsys, *argv)
+        assert cold[argv][0] == 0 and cold[argv][2] == "", argv
+    _apery.cache_clear()
+    for argv in argvs + argvs[::-1]:
+        assert run(capsys, *argv) == cold[argv], argv
+    assert _apery.cache_info().hits > 0
 
 
 def test_classify_ranks_once(capsys, monkeypatch):

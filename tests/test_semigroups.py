@@ -5,10 +5,12 @@ import pytest
 
 from gt_toolkit import semigroups
 from gt_toolkit.actions import CyclicAction, exponent_vectors
+from gt_toolkit.exactalg import InternalDiscrepancy
 from gt_toolkit.hilbert import hf_by_counting
-from gt_toolkit.semigroups import (AffineSemigroup, NormalityReport,
-                                   TrungReport, UnsupportedSemigroupError,
-                                   _apery, _below, _class_points,
+from gt_toolkit.semigroups import (APERY_CACHE_SIZE, AffineSemigroup,
+                                   NormalityReport, TrungReport,
+                                   UnsupportedSemigroupError, _apery,
+                                   _below, _class_points,
                                    _classes, _point_test, is_normal_up_to,
                                    lemma_two_zero_check, make_h3t, make_hk,
                                    member, semigroup_of_action,
@@ -35,6 +37,14 @@ RANDOM_SETS = {
     "s7": [(6, 0, 0), (4, 2, 0), (2, 3, 1), (1, 3, 2), (1, 1, 4), (0, 6, 0),
            (0, 0, 6)],
 }
+
+
+@pytest.fixture(autouse=True)
+def _cold_apery_cache():
+    # no test may depend on the Apery sets that earlier tests built
+    _apery.cache_clear()
+    yield
+    _apery.cache_clear()
 
 
 def resums(H, w, decomposition):
@@ -159,16 +169,48 @@ def test_member_deep_query():
     assert resums(CUBIC, w, result.decomposition)
 
 
-def test_apery_cache_is_per_instance_and_outside_equality():
+def test_apery_cache_is_keyed_by_value_and_stores_no_failure(monkeypatch):
     H = make_h3t(2)
-    twin = AffineSemigroup.from_generators(H.generators)
-    assert member(H, (2, 2, 2)).member  # builds Ap(H) for H alone
-    assert "apery" in vars(H) and "apery" not in vars(twin)
+    # a semigroup file lists the generators in any order, some repeated
+    listed = list(H.generators) + [H.generators[2]]
+    random.Random(5).shuffle(listed)
+    twin = AffineSemigroup.from_generators(listed)
     assert H == twin and hash(H) == hash(twin)
+    assert member(H, (2, 2, 2)).member  # builds Ap(H)
+    assert member(twin, (3, 3, 3)) == member(H, (3, 3, 3))
+    assert _apery(twin) is _apery(H)
     copy = H._replace(degree=H.degree)
     assert type(copy) is AffineSemigroup and copy == H
-    assert vars(copy) == {}
     assert member(copy, (2, 2, 2)) == member(H, (2, 2, 2))
+    info = _apery.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 6, 1)
+    # a failing build raises on every call and leaves no entry
+    no_axes = AffineSemigroup.from_generators([(1, 1, 0), (0, 1, 1)])
+    for _ in range(2):
+        with pytest.raises(UnsupportedSemigroupError):
+            member(no_axes, (1, 2, 1))
+    info = _apery.cache_info()
+    assert (info.misses, info.currsize) == (3, 1)
+    other = make_h3t(3)
+    monkeypatch.setattr(semigroups, "_resum", lambda H, indices: ())
+    with pytest.raises(InternalDiscrepancy, match="does not re-sum"):
+        _apery(other)
+    monkeypatch.undo()
+    assert _apery.cache_info().currsize == 1
+    axes, apery = _apery(other)
+    expected_axes, expected = _tuple_keyed_apery(other)
+    assert axes == expected_axes
+    assert list(apery.items()) == list(expected.items())
+    info = _apery.cache_info()
+    assert (info.misses, info.currsize) == (5, 2)
+    # the cache holds at most APERY_CACHE_SIZE semigroups
+    assert info.maxsize == APERY_CACHE_SIZE
+    named = _apery_test_semigroups()
+    assert len(named) > APERY_CACHE_SIZE
+    for name, S in named.items():
+        _apery(S)
+        assert _apery.cache_info().currsize <= APERY_CACHE_SIZE, name
+    assert _apery.cache_info().currsize == APERY_CACHE_SIZE
 
 
 def test_member_needs_axis_multiples():
@@ -365,8 +407,6 @@ def test_scans_count_one_element_classes_without_walking(monkeypatch):
     assert set(named) - set(singleton) == {"cubic", "s5", "s6", "s7"}
     scanned = _scan_test_semigroups()
     surfaces = [semigroup_of_action(a) for a in surface_actions(11)]
-    for H in surfaces + list(scanned.values()):
-        _apery(H)  # the Apery build itself calls _below
     calls = {"_point_test": 0, "_below": 0, "_class_points": 0}
     for name in calls:
         def counted(*args, name=name, inner=getattr(semigroups, name)):
@@ -377,6 +417,8 @@ def test_scans_count_one_element_classes_without_walking(monkeypatch):
         trung_cm_check(H, 8)
         assert calls["_point_test"] == 0, name
     for name, H in list(scanned.items()) + list(enumerate(surfaces)):
+        _apery(H)  # the Apery build itself calls _below
+        calls["_below"] = 0
         is_normal_up_to(H, 8)
         assert calls["_below"] == calls["_class_points"] == 0, name
     # the counter does see the CM scan's walks of larger classes
