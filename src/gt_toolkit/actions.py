@@ -31,7 +31,9 @@ class CyclicAction(namedtuple("CyclicAction", "d weights")):
     Weights are reduced mod d at construction but deliberately not
     sorted, so variable labels stay aligned with the caller's input.
     The standing hypothesis gcd(w0, ..., wn, d) = 1 is enforced on every
-    way in: the constructor, _make and _replace.
+    way in: the constructor, _make and _replace.  Unlike the other
+    records it subclasses collections.namedtuple, because
+    typing.NamedTuple forbids overriding __new__.
     """
 
     __slots__ = ()

@@ -6,13 +6,13 @@ failed, 3 a verification check failed, 4 out of memory: a valid input
 whose computation or report does not fit in the memory the process may
 use.  Output is deterministic:
 identical inputs give byte-identical output in both table and JSON
-formats.  Each command returns its report and its table lines; `ideal`,
-`betti` and the semigroup commands yield their lines lazily, so their
-table text is built only for table output.  One writer, _json_text,
-writes every JSON report, byte-identical to json.dumps(report, indent=2,
-sort_keys=True).  Input is read under Python's int-to-str digit limit;
-main lifts the limit only while it renders a report, whose integers may
-exceed it.
+formats.  Each command handler builds only its report and returns it
+with its renderer, a function of the report alone that yields the table
+lines: the table is a view of the JSON report, and a JSON run builds no
+table text.  One writer, _json_text, writes every JSON report,
+byte-identical to json.dumps(report, indent=2, sort_keys=True).  Input
+is read under Python's int-to-str digit limit; main lifts the limit only
+while it renders a report, whose integers may exceed it.
 
 Arguments are read against one module-level table, _COMMANDS, of each
 subcommand's handler, positionals and options.  Options may come
@@ -35,7 +35,8 @@ from .actions import CyclicAction, format_monomial, invariant_monomials
 from .exactalg import InternalDiscrepancy
 from .hilbert import (catalog_notes, hf_by_counting, hf_reduced,
                       hilbert_series, surface_profile)
-from .resolution import betti_table, generator_counts, series_from_betti
+from .resolution import (BettiTable, betti_table, generator_counts,
+                         series_from_betti)
 from .semigroups import (AffineSemigroup, is_normal_up_to, make_h3t, make_hk,
                          member, trung_cm_check)
 from .togliatti import classify
@@ -127,13 +128,22 @@ def _load_json(path: str) -> dict:
 def _action_from_args(args) -> CyclicAction:
     # exactly one input source: inline d + weights, or a JSON file
     inline = args.d is not None or args.weights is not None
-    if getattr(args, "file", None) is not None:
+    if args.file is not None:
         if inline:
             raise _UsageError("give either d and weights or --file, not both")
         return CyclicAction.from_dict(_load_json(args.file))
     if args.d is None or args.weights is None:
         raise _UsageError("need both d and weights (or --file)")
     return CyclicAction(args.d, _parse_ints(args.weights, "weights"))
+
+
+def _action_line(action: dict) -> str:
+    weights = ",".join(map(str, action["weights"]))
+    return f"action: d={action['d']} weights={weights}"
+
+
+def _surface_line(profile: dict) -> str:
+    return "surface (a, b, d) = ({a}, {b}, {d})".format_map(profile)
 
 
 def _cmd_invariants(args):
@@ -147,30 +157,31 @@ def _cmd_invariants(args):
             "t": t, "degree": t * action.d, "count": len(monomials),
             "monomials": [list(m) for m in monomials],
             "pretty": [format_monomial(m) for m in monomials]})
-    report = {"action": action.to_dict(), "invariants": per_degree}
-    lines = [f"action: d={action.d} weights={','.join(map(str, action.weights))}"]
-    for entry in per_degree:
-        lines.append(f"t={entry['t']} degree={entry['degree']} "
-                     f"count={entry['count']}")
-        lines.append("  " + "  ".join(entry["pretty"]))
-    return report, lines, OK
+    return ({"action": action.to_dict(), "invariants": per_degree},
+            _invariants_text, OK)
+
+
+def _invariants_text(report):
+    yield _action_line(report["action"])
+    for entry in report["invariants"]:
+        yield f"t={entry['t']} degree={entry['degree']} count={entry['count']}"
+        yield "  " + "  ".join(entry["pretty"])
 
 
 def _cmd_classify(args):
-    action = _action_from_args(args)
-    result = classify(action)
-    check = result.wlp_check
-    report = result.to_dict()
-    report["wlp_check"] = check.to_dict()
-    lines = [
-        f"action: d={action.d} weights={','.join(map(str, action.weights))}",
-        f"mu_d = {result.mu_d}, bound = {result.bound}",
-        f"togliatti candidate: {result.is_togliatti_candidate}",
-        f"wlp fails in degree {action.d - 1}: {result.wlp_fails_at_d_minus_1} "
-        f"(kernel dimension {result.kernel_dimension}, {check.test} test)",
-        f"is_gt_system = {result.is_gt_system}",
-    ]
-    return report, lines, OK
+    result = classify(_action_from_args(args))
+    report = {**result.to_dict(), "wlp_check": result.wlp_check.to_dict()}
+    return report, _classify_text, OK
+
+
+def _classify_text(report):
+    yield _action_line(report["action"])
+    yield "mu_d = {mu_d}, bound = {bound}".format_map(report)
+    yield "togliatti candidate: {is_togliatti_candidate}".format_map(report)
+    yield ("wlp fails in degree {wlp_check[j]}: {wlp_fails_at_d_minus_1} "
+           "(kernel dimension {kernel_dimension}, {wlp_check[test]} test)"
+           ).format_map(report)
+    yield "is_gt_system = {is_gt_system}".format_map(report)
 
 
 def _cmd_hilbert(args):
@@ -189,32 +200,31 @@ def _cmd_hilbert(args):
                          f"{counted}/{reduced}/{closed}")
         table.append({"t": t, "by_counting": counted,
                       "reduced": reduced, "closed_form": closed})
-    notes = list(catalog_notes(profile))
     # mu_d here is the theta formula's value, beside the profile's count
     invariants = {"mu_d": profile.mu_d_from_theta,
                   "degree": profile.degree, "codim": profile.codim,
                   "cm_type": profile.cm_type, "reg": profile.reg}
     report = {"profile": profile.to_dict(), "hilbert": data.to_dict(),
               "routes": table, "invariants": invariants, "flags": flags,
-              "notes": notes}
-    lines = [f"surface (a, b, d) = ({args.a}, {args.b}, {args.d})",
-             f"lambda = {profile.lam}, mu = {profile.mu}, "
-             f"theta = {profile.theta} (counted {profile.theta_from_count})",
-             f"mu_d = {profile.mu_d}, degree = {profile.degree}, "
-             f"codim = {profile.codim}, cm_type = {profile.cm_type}, "
-             f"reg = {profile.reg}",
-             f"HP coefficients (t^2, t, 1): "
-             + ", ".join(str(c) for c in data.polynomial),
-             f"HS numerator: {list(data.numerator)} over (1-z)^3",
-             "t | counting reduced closed"]
-    for row in table:
-        lines.append(f"{row['t']} | {row['by_counting']} {row['reduced']} "
-                     f"{row['closed_form']}")
-    for note in notes:
-        lines.append(f"note: {note}")
-    for flag in flags:
-        lines.append(f"FLAG: {flag}")
-    return report, lines, DISCREPANCY if flags else OK
+              "notes": list(catalog_notes(profile))}
+    return report, _hilbert_text, DISCREPANCY if flags else OK
+
+
+def _hilbert_text(report):
+    p, data = report["profile"], report["hilbert"]
+    yield _surface_line(p)
+    yield (f"lambda = {p['lambda']}, mu = {p['mu']}, theta = {p['theta']} "
+           f"(counted {p['theta_from_count']})")
+    yield (f"mu_d = {p['mu_d']}, degree = {p['degree']}, codim = "
+           f"{p['codim']}, cm_type = {p['cm_type']}, reg = {p['reg']}")
+    yield "HP coefficients (t^2, t, 1): " + ", ".join(data["polynomial"])
+    yield (f"HS numerator: {data['series_numerator']} over "
+           f"(1-z)^{data['series_pole_order']}")
+    yield "t | counting reduced closed"
+    for row in report["routes"]:
+        yield "{t} | {by_counting} {reduced} {closed_form}".format_map(row)
+    yield from (f"note: {note}" for note in report["notes"])
+    yield from (f"FLAG: {flag}" for flag in report["flags"])
 
 
 def _cmd_betti(args):
@@ -228,47 +238,43 @@ def _cmd_betti(args):
     report = {"profile": profile.to_dict(), "betti": table.to_dict(),
               "generator_counts": counts.to_dict(),
               "series": series.to_dict(), "flags": flags}
-    return (report, _betti_lines(args, table, counts, series, flags),
-            DISCREPANCY if flags else OK)
+    return report, _betti_text, DISCREPANCY if flags else OK
 
 
-def _betti_lines(args, table, counts, series, flags):
-    """The table text of a betti report, built only when main joins it:
-    its Betti numbers may pass the int-to-str digit limit that main
-    lifts only while it renders."""
-    yield (f"surface (a, b, d) = ({args.a}, {args.b}, {args.d}); "
-           f"case {table.case}, c = {table.c}, h = {table.h}")
-    for (l, i), r in sorted(table.entries.items()):
-        yield f"b({l},{i}) = {r}  twist {table.twist(l, i)}"
-    yield (f"generators per closed formulas: {counts.quadrics} quadrics, "
-           f"{counts.cubics} cubics")
-    yield (f"series numerator {list(series.numerator)} over "
-           f"(1-z)^{series.pole_order}; matches closed form: "
-           f"{series.matches_closed_form}")
-    for flag in flags:
-        yield f"FLAG: {flag}"
+def _betti_text(report):
+    table = report["betti"]
+    yield (f"{_surface_line(report['profile'])}; case {table['case']}, "
+           f"c = {table['c']}, h = {table['h']}")
+    # keys "l,i" sort as strings in JSON, so "10,2" before "2,1"
+    ranks = {tuple(map(int, key.split(","))): r
+             for key, r in table["ranks"].items()}
+    for (l, i), r in sorted(ranks.items()):
+        yield f"b({l},{i}) = {r}  twist {BettiTable.twist(l, i)}"
+    yield ("generators per closed formulas: {quadrics} quadrics, "
+           "{cubics} cubics").format_map(report["generator_counts"])
+    yield ("series numerator {numerator} over (1-z)^{pole_order}; "
+           "matches closed form: {matches_closed_form}"
+           ).format_map(report["series"])
+    yield from (f"FLAG: {flag}" for flag in report["flags"])
 
 
 def _cmd_ideal(args):
     action = _action_from_args(args)
     gens = minimal_generators(action)
-    report = gens.to_dict()
-    report["action"] = action.to_dict()
-    report["generator_monomials"] = [list(m) for m in gens.generators]
-    return report, _ideal_lines(action, gens), OK
+    report = {**gens.to_dict(), "action": action.to_dict(),
+              "generator_monomials": [list(m) for m in gens.generators]}
+    return report, _ideal_text, OK
 
 
-def _ideal_lines(action, gens):
-    """The table text of an ideal report; main joins it only for table
-    output, so a JSON run formats no binomial."""
-    yield f"action: d={action.d} weights={','.join(map(str, action.weights))}"
-    yield "generators: " + "  ".join(f"w{i}={format_monomial(m)}"
-                                     for i, m in enumerate(gens.generators))
-    yield f"quadrics ({len(gens.quadrics)}):"
-    yield from (f"  {_binomial_str(b)}" for b in gens.quadrics)
-    yield f"cubics ({len(gens.cubics)}):"
-    yield from (f"  {_binomial_str(b)}" for b in gens.cubics)
-    yield f"verified through degree {gens.verified_through_degree}"
+def _ideal_text(report):
+    yield _action_line(report["action"])
+    yield "generators: " + "  ".join(
+        f"w{i}={format_monomial(m)}"
+        for i, m in enumerate(report["generator_monomials"]))
+    for degree in ("quadrics", "cubics"):
+        yield f"{degree} ({len(report[degree])}):"
+        yield from (f"  {_binomial_str(b)}" for b in report[degree])
+    yield f"verified through degree {report['verified_through_degree']}"
 
 
 def _binomial_str(binomial) -> str:
@@ -278,35 +284,31 @@ def _binomial_str(binomial) -> str:
 def _semigroup_report(H: AffineSemigroup, bound: int, query=None):
     if bound < 1:
         raise _UsageError("--bound must be at least 1")
-    normal = is_normal_up_to(H, bound)
-    trung = trung_cm_check(H, bound)
     report = {"semigroup": H.to_dict(), "degree": H.degree,
-              "normality": normal.to_dict(), "trung": trung.to_dict()}
-    result = None
+              "normality": is_normal_up_to(H, bound).to_dict(),
+              "trung": trung_cm_check(H, bound).to_dict()}
     if query is not None:
-        result = member(H, query)
         report["member_query"] = {"vector": list(query),
-                                  **result.to_dict()}
-    return report, _semigroup_lines(H, bound, normal, trung, query,
-                                    result), OK
+                                  **member(H, query).to_dict()}
+    return report, _semigroup_text, OK
 
 
-def _semigroup_lines(H, bound, normal, trung, query, result):
-    """The table text of a semigroup report, built only when main joins
-    it: a witness may have more digits than any input coordinate."""
-    yield (f"semigroup with {len(H.generators)} generators of degree "
-           f"{H.degree} in dimension {H.dim}")
-    yield "generators: " + "  ".join(str(list(g)) for g in H.generators)
+def _semigroup_text(report):
+    H, normal, trung = (report[k] for k in ("semigroup", "normality", "trung"))
+    yield (f"semigroup with {len(H['generators'])} generators of degree "
+           f"{report['degree']} in dimension {H['dim']}")
+    yield "generators: " + "  ".join(map(str, H["generators"]))
+    query = report.get("member_query")
     if query is not None:
-        yield (f"member {list(query)}: {result.member}"
-               + (f" decomposition {list(result.decomposition)}"
-                  if result.decomposition is not None else ""))
-    yield (f"normal up to level {bound}: {normal.normal_up_to_bound}"
-           + (f" (witness {list(normal.witness)})"
-              if normal.witness else ""))
-    yield (f"CM certification: {trung.status} (bound {bound}, "
-           f"hypothesis_ok {trung.hypothesis_ok})"
-           + (f" witness {list(trung.witness)}" if trung.witness else ""))
+        yield (f"member {query['vector']}: {query['member']}"
+               + (f" decomposition {query['decomposition']}"
+                  if query["decomposition"] is not None else ""))
+    yield (f"normal up to level {normal['bound']}: "
+           f"{normal['normal_up_to_bound']}"
+           + (f" (witness {normal['witness']})" if normal["witness"] else ""))
+    yield (f"CM certification: {trung['status']} (bound {trung['bound']}, "
+           f"hypothesis_ok {trung['hypothesis_ok']})"
+           + (f" witness {trung['witness']}" if trung["witness"] else ""))
 
 
 def _cmd_semigroup(args):
@@ -329,13 +331,15 @@ def _cmd_verify(args):
     failed = [r for r in results if not r.ok]
     report = {"checks": [r.to_dict() for r in results],
               "passed": len(results) - len(failed), "failed": len(failed)}
-    lines = []
-    for r in results:
-        status = "PASS" if r.ok else "FAIL"
-        lines.append(f"{status}  {r.name}" + (f"  [{r.detail}]"
-                                              if not r.ok and r.detail else ""))
-    lines.append(f"{len(results) - len(failed)}/{len(results)} checks passed")
-    return report, lines, CHECK_FAILED if failed else OK
+    return report, _verify_text, CHECK_FAILED if failed else OK
+
+
+def _verify_text(report):
+    for check in report["checks"]:
+        yield (f"{'PASS' if check['ok'] else 'FAIL'}  {check['name']}"
+               + (f"  [{check['detail']}]"
+                  if not check["ok"] and check["detail"] else ""))
+    yield f"{report['passed']}/{len(report['checks'])} checks passed"
 
 
 # name -> (handler, summary, arguments); an argument maps its flag, or
@@ -496,14 +500,14 @@ def main(argv=None) -> int:
         if isinstance(args, str):
             sys.stdout.write(args)
             return OK
-        report, lines, status = args.run(args)
+        report, render, status = args.run(args)
         # input was read under the int-to-str digit limit; a report's own
         # integers, such as Betti numbers of large d, may exceed it
         digits = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
         try:
             text = (_json_text(report) if args.format == "json"
-                    else "\n".join(lines)) + "\n"
+                    else "\n".join(render(report))) + "\n"
         finally:
             sys.set_int_max_str_digits(digits)
     except (_UsageError, ValueError) as exc:

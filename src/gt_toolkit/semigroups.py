@@ -41,7 +41,6 @@ such an H always has.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from functools import lru_cache
 from operator import add, le, mod
 from typing import NamedTuple
@@ -59,7 +58,7 @@ class UnsupportedSemigroupError(ValueError):
     """The semigroup lacks the axis multiples the cone logic relies on."""
 
 
-class AffineSemigroup(namedtuple("AffineSemigroup", "dim generators degree")):
+class AffineSemigroup(NamedTuple):
     """Homogeneous affine semigroup with a fixed generator list.
 
     Generators are deduplicated and stored lex descending; all of them
@@ -68,7 +67,9 @@ class AffineSemigroup(namedtuple("AffineSemigroup", "dim generators degree")):
     no instance carries state beyond them.
     """
 
-    __slots__ = ()
+    dim: int
+    generators: tuple[tuple[int, ...], ...]
+    degree: int
 
     @classmethod
     def from_generators(cls, generators) -> "AffineSemigroup":

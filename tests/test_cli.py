@@ -17,8 +17,13 @@ from gt_toolkit.actions import (CyclicAction, format_monomial,
                                 invariant_monomials, mu_d)
 from gt_toolkit.hilbert import hf_closed_form, surface_profile
 from gt_toolkit.semigroups import _apery, make_hk
+from surfaces import surface_triples
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+# sha256 of pinned CLI outputs: "stdout" maps an argv, words joined by
+# spaces, to its stdout, and "stderr" a failure case to its error line
+DIGESTS = json.loads(Path(__file__).with_name("cli_digests.json")
+                     .read_text(encoding="utf-8"))
 
 
 def run(capsys, *argv):
@@ -371,39 +376,44 @@ def test_ideal_json_formats_no_table_text(capsys, monkeypatch):
 # sha256 of each subcommand's output; FILE stands for a file holding
 # CUBIC_FILE.  Every record that the text reads is pinned here.
 @pytest.mark.parametrize("argv, digest", [
-    (("ideal", "7", "0,1,3"),
-     "9625ca47caa85c3335bea6f7f4d062b288b002c55d6b4f277c8d554e89057d8b"),
-    (("ideal", "6", "0,1,2,4"),
-     "e12450b6e4d530b37e7feddcc40cbdd17db5d3ae90d8b05a0fda5bfca7bddafe"),
-    (("invariants", "7", "0,1,3", "--t", "2"),
-     "f6411c49c569d0f0fcc502a11aa91b12f817201a408e060b23bfdb06f81ae468"),
-    (("invariants", "7", "0,1,3", "--t", "2", "--format", "json"),
-     "284f5987a1313989b4d2bd294e52b1e85e62ee1cfacde9362827ed293ee2ea2c"),
-    (("classify", "7", "0,1,3"),
-     "8b31950d7cddddf5344f961f5d40851151d88c20e25aa44bc4f368e32170fb09"),
-    (("hilbert", "1", "3", "7"),
-     "ffea0295df4a634956649d08ae61cd1c4df4b73d85043ccb762a21cf1df6aa3c"),
-    (("betti", "1", "3", "7"),
-     "83541fb05268fbc9886202c4de86c8e1edb797ab6fcc6d551a41a604b82bb529"),
-    (("semigroup", "FILE", "--member", "8,6,6"),
-     "067256b3b21d7f83057ee9fc58a99b06065f196d0f772fa337d0e2c1133b4a38"),
-    (("semigroup", "FILE", "--member", "8,6,6", "--format", "json"),
-     "4cd3397f60e47a6ca3745bef119b3dd22768adfa1013467b52dd711aa5d2d921"),
-    (("h3t", "2"),
-     "3b3953823d81ceb1aef6b94e1326f9f5b159ae5d1d1ad74a3fd7fc2c70701efd"),
-    (("hk", "2", "1"),
-     "e8a3faea82c9ac501329bf511fd8c9e8bb8b9be49dc7b9a5631c5b173823edc6"),
-    (("verify-paper",),
-     "fc167d9a9015e2ca01b4c04189f389406b5519c23762713f305d0326300a8d18"),
-])
+    (tuple(argv.split()), digest)
+    for argv, digest in DIGESTS["stdout"].items()])
 def test_table_bytes_are_pinned(tmp_path, capsys, argv, digest):
-    # the table text is built lazily; its bytes stay as before
     path = tmp_path / "semigroup.json"
     path.write_text(json.dumps(CUBIC_FILE))
     status, out, _ = run(capsys, *(str(path) if a == "FILE" else a
                                    for a in argv))
     assert status == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _view_argvs():
+    yield from (tuple(argv.split()) for argv in DIGESTS["stdout"])
+    for a, b, d in surface_triples(11):
+        yield "hilbert", str(a), str(b), str(d)
+        yield "betti", str(a), str(b), str(d)
+    # c = 10: JSON lists the rank keys as "1,1", "10,2", "2,1", ...
+    yield "betti", "7", "13", "14"
+    for d, weights in ((5, "0,1,3"), (7, "0,2,3"), (8, "0,3,5"),
+                       (4, "0,1,2,3"), (5, "0,1,2,4"), (6, "0,1,3,5")):
+        yield "classify", str(d), weights
+        yield "ideal", str(d), weights
+    yield from (("h3t", "3"), ("hk", "3", "2"),
+                ("semigroup", "FILE", "--member", "14,10,6", "--bound", "4"))
+
+
+def test_table_is_a_view_of_the_report(tmp_path, capsys, monkeypatch):
+    # each command's table text is its renderer applied to the report
+    # that its JSON output parses back to
+    monkeypatch.chdir(tmp_path)
+    Path("FILE").write_text(json.dumps(CUBIC_FILE))
+    for argv in _view_argvs():
+        status, table, _ = run(capsys, *argv, "--format", "table")
+        json_status, out, _ = run(capsys, *argv, "--format", "json")
+        args = cli._parse(list(argv))
+        render = args.run(args)[1]
+        assert json_status == status, argv
+        assert "\n".join(render(json.loads(out))) + "\n" == table, argv
 
 
 def test_verify_paper(capsys):
@@ -662,6 +672,8 @@ def test_out_of_memory_is_one_error_line():
                           preexec_fn=limit)
     assert done.returncode == cli.OUT_OF_MEMORY == 4
     assert (done.stdout, done.stderr) == ("", "error: out of memory\n")
+    assert hashlib.sha256(done.stderr.encode()).hexdigest() == \
+        DIGESTS["stderr"]["out-of-memory"]
     assert "| 4    | out of memory" in README.read_text(encoding="utf-8")
 
 
@@ -811,30 +823,41 @@ CUBIC_FILE = {"dim": 3, "generators": [[5, 0, 0], [0, 5, 0], [0, 0, 5],
     "semigroup-bound-underscore", "semigroup-deep-json", "ideal-deep-json",
     "action-over-depth-limit", "member-empty", "output-empty",
     "file-empty-with-inline", "action-not-object", "d-past-digit-limit",
-    "action-file-past-digit-limit",
+    "action-file-past-digit-limit", "unknown-command", "no-command",
+    "missing-argument", "ambiguous-option", "unrecognized-argument",
+    "option-without-value", "format-choice", "invariants-t-zero",
+    "hilbert-t-zero", "h3t-t-zero", "no-axis-multiples", "gcd-violation",
+    "surface-out-of-order", "order-below-two",
 ])
-def test_bad_input_never_ends_in_traceback(tmp_path, capsys, case):
-    # every failure is one "error:" line on stderr, exit 1, no report
-    semigroup = tmp_path / "semigroup.json"
+def test_bad_input_never_ends_in_traceback(tmp_path, capsys, monkeypatch,
+                                           case):
+    # every failure is one "error:" line on stderr, exit 1, no report;
+    # files are named relative to the test's own directory, so each
+    # stderr is pinned by its sha256
+    monkeypatch.chdir(tmp_path)
+    semigroup = Path("semigroup.json")
     semigroup.write_text(json.dumps(CUBIC_FILE))
-    broken = tmp_path / "broken.json"
+    broken = Path("broken.json")
     broken.write_text('{"d": 5, "weights": [0, 1,')
-    action = tmp_path / "action.json"
+    action = Path("action.json")
     action.write_text(json.dumps({"d": 5, "weights": [0, True, 3]}))
-    missing_dir = tmp_path / "absent" / "report.txt"
-    deep = tmp_path / "deep.json"
+    missing_dir = Path("absent", "report.txt")
+    deep = Path("deep.json")
     deep.write_text("[" * 100_000)
-    nested = tmp_path / "nested.json"
+    nested = Path("nested.json")
     nested.write_text(_nested_action(cli.JSON_MAX_DEPTH + 1))
-    listed = tmp_path / "listed.json"
+    listed = Path("listed.json")
     listed.write_text("[1, 2]")
     # a report may pass the int-to-str digit limit, its input may not
     digits = "1" * 5000
-    huge = tmp_path / "huge.json"
+    huge = Path("huge.json")
     huge.write_text('{"d": ' + digits + ', "weights": [0, 1, 3]}')
+    no_axis = Path("no_axis.json")
+    no_axis.write_text(json.dumps({"dim": 3, "generators": [
+        [3, 0, 0], [0, 3, 0], [1, 1, 1], [2, 1, 0]]}))
     argv = {
-        "missing-file": ["semigroup", str(tmp_path / "absent.json")],
-        "directory-input": ["classify", "--file", str(tmp_path)],
+        "missing-file": ["semigroup", "absent.json"],
+        "directory-input": ["classify", "--file", "."],
         "invalid-json": ["ideal", "--file", str(broken)],
         "true-weight": ["classify", "--file", str(action)],
         "member-length": ["semigroup", str(semigroup), "--member", "4,3"],
@@ -842,8 +865,7 @@ def test_bad_input_never_ends_in_traceback(tmp_path, capsys, case):
         "bound-zero": ["h3t", "2", "--bound", "0"],
         "output-missing-dir": ["classify", "5", "0,1,3",
                                "--output", str(missing_dir)],
-        "output-is-dir": ["classify", "5", "0,1,3",
-                          "--output", str(tmp_path)],
+        "output-is-dir": ["classify", "5", "0,1,3", "--output", "."],
         # int() alone takes "_" separators and non-ASCII decimal digits
         "d-underscore": ["classify", "1_3", "0,1,3"],
         "weight-arabic-digit": ["classify", "13", "0,1,\u0663"],
@@ -872,11 +894,27 @@ def test_bad_input_never_ends_in_traceback(tmp_path, capsys, case):
         "action-not-object": ["classify", "--file", str(listed)],
         "d-past-digit-limit": ["betti", "1", "2", digits],
         "action-file-past-digit-limit": ["ideal", "--file", str(huge)],
+        "unknown-command": ["nonsense"],
+        "no-command": [],
+        "missing-argument": ["hilbert", "1", "2"],
+        "ambiguous-option": ["classify", "--f", "x"],
+        "unrecognized-argument": ["classify", "5", "0,1,3", "extra"],
+        "option-without-value": ["h3t", "2", "--bound"],
+        "format-choice": ["h3t", "2", "--format", "xml"],
+        "invariants-t-zero": ["invariants", "5", "0,1,3", "--t", "0"],
+        "hilbert-t-zero": ["hilbert", "1", "2", "3", "--t", "0"],
+        "h3t-t-zero": ["h3t", "0"],
+        "no-axis-multiples": ["semigroup", str(no_axis), "--member", "3,0,0"],
+        "gcd-violation": ["classify", "4", "0,2"],
+        "surface-out-of-order": ["hilbert", "2", "1", "3"],
+        "order-below-two": ["ideal", "1", "0,0"],
     }[case]
     status, out, err = run(capsys, *argv)
     assert (status, out) == (1, "")
     assert err.startswith("error: ")
     assert len(err.splitlines()) == 1
+    assert hashlib.sha256(err.encode()).hexdigest() == \
+        DIGESTS["stderr"][case], err
     if case.startswith("output-"):
         assert err.startswith(f"error: cannot write {argv[-1]}: ")
     if case in ("member-not-integer", "member-empty"):
