@@ -21,7 +21,10 @@ prefix of --opt; a value is the next argument, whatever it starts with,
 and a repeated option's last value wins.  -h lists the usage of every
 command, or of one after its name.  Integer arguments and the
 comma-separated vectors accept only ASCII decimals, [+-]?[0-9]+.  JSON
-input files may nest at most JSON_MAX_DEPTH (64) levels.
+input files are read as UTF-8 and may nest at most JSON_MAX_DEPTH (64)
+levels.  The depth is read before the file is decoded, by two regexes
+and a running maximum, in memory that does not grow with the length of
+a string in the file.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from __future__ import annotations
 import json
 import re
 import sys
+from itertools import accumulate
 from types import SimpleNamespace
 
 from .actions import CyclicAction, format_monomial, invariant_monomials
@@ -83,33 +87,30 @@ def _parse_ints(text: str, what: str) -> tuple[int, ...]:
         raise _UsageError(f"{what} must be comma-separated integers: {exc}")
 
 
+# lazy, not a repeated group: re keeps backtracking state for each
+# iteration of (?:[^"\\]|\\.)*, or of the unrolled (?:\\.[^"\\]*)* on
+# a string dense with escapes, and runs out of memory on a long string
+_STRING = re.compile(r'"(?:.*?"(?<!\\")|.*)', re.DOTALL)
+_NOT_BRACKET = re.compile(r"[^][{}]+")
+_STEP = {"[": 1, "{": 1, "]": -1, "}": -1}
+
+
 def _json_depth(text: str) -> int:
     """Deepest nesting of [ and { in text, outside strings."""
-    depth = deepest = 0
-    in_string = escaped = False
-    for ch in text:
-        if in_string:
-            if escaped:
-                escaped = False
-            elif ch == "\\":
-                escaped = True
-            elif ch == '"':
-                in_string = False
-        elif ch == '"':
-            in_string = True
-        elif ch in "[{":
-            depth += 1
-            deepest = max(deepest, depth)
-        elif ch in "]}":
-            depth -= 1
-    return deepest
+    # a backslash pair is an escaped backslash in a string and nothing
+    # outside one; without the pairs, a string ends at its first quote
+    # with no backslash before it
+    text = _STRING.sub("", text.replace("\\\\", ""))
+    # one character, not one list entry, per bracket
+    brackets = _NOT_BRACKET.sub("", text)
+    return max(accumulate(map(_STEP.get, brackets), initial=0))
 
 
 def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _UsageError(f"cannot read {path}: {exc}")
     # the decoder recurses once per level, so the depth is checked first
     if _json_depth(text) > JSON_MAX_DEPTH:

@@ -1,5 +1,6 @@
-"""The GT surfaces the test modules sweep over."""
+"""The GT surfaces and action classes the test modules sweep over."""
 
+from itertools import combinations_with_replacement
 from math import gcd
 
 from gt_toolkit.actions import CyclicAction
@@ -19,3 +20,33 @@ def surface_actions(max_d):
     """The action (d; 0, a, b) of each surface_triples(max_d) triple."""
     for a, b, d in surface_triples(max_d):
         yield CyclicAction(d, (0, a, b))
+
+
+def weight_class(weights, d):
+    """Canonical form of a weight triple under unit scaling, global shift
+    and coordinate permutation; equivalent actions share the toric ideal
+    up to relabeling."""
+    best = None
+    for u in range(1, d):
+        if gcd(u, d) != 1:
+            continue
+        for c in range(d):
+            candidate = tuple(sorted((u * w + c) % d for w in weights))
+            if best is None or candidate < best:
+                best = candidate
+    return best
+
+
+def action_classes(nvars, max_d):
+    """One action per class under unit scaling, shift and permutation of
+    the weights, repeated weights included."""
+    for d in range(3, max_d + 1):
+        seen = set()
+        for rest in combinations_with_replacement(range(d), nvars - 1):
+            weights = (0,) + rest
+            if gcd(*weights, d) != 1:
+                continue
+            key = weight_class(weights, d)
+            if key not in seen:
+                seen.add(key)
+                yield CyclicAction(d, key)

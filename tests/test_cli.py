@@ -827,7 +827,7 @@ CUBIC_FILE = {"dim": 3, "generators": [[5, 0, 0], [0, 5, 0], [0, 0, 5],
     "missing-argument", "ambiguous-option", "unrecognized-argument",
     "option-without-value", "format-choice", "invariants-t-zero",
     "hilbert-t-zero", "h3t-t-zero", "no-axis-multiples", "gcd-violation",
-    "surface-out-of-order", "order-below-two",
+    "surface-out-of-order", "order-below-two", "non-utf8-file",
 ])
 def test_bad_input_never_ends_in_traceback(tmp_path, capsys, monkeypatch,
                                            case):
@@ -852,6 +852,8 @@ def test_bad_input_never_ends_in_traceback(tmp_path, capsys, monkeypatch,
     digits = "1" * 5000
     huge = Path("huge.json")
     huge.write_text('{"d": ' + digits + ', "weights": [0, 1, 3]}')
+    latin1 = Path("latin1.json")
+    latin1.write_bytes(b"\xff" + json.dumps(CUBIC_FILE).encode())
     no_axis = Path("no_axis.json")
     no_axis.write_text(json.dumps({"dim": 3, "generators": [
         [3, 0, 0], [0, 3, 0], [1, 1, 1], [2, 1, 0]]}))
@@ -908,6 +910,7 @@ def test_bad_input_never_ends_in_traceback(tmp_path, capsys, monkeypatch,
         "gcd-violation": ["classify", "4", "0,2"],
         "surface-out-of-order": ["hilbert", "2", "1", "3"],
         "order-below-two": ["ideal", "1", "0,0"],
+        "non-utf8-file": ["classify", "--file", str(latin1)],
     }[case]
     status, out, err = run(capsys, *argv)
     assert (status, out) == (1, "")
@@ -917,6 +920,8 @@ def test_bad_input_never_ends_in_traceback(tmp_path, capsys, monkeypatch,
         DIGESTS["stderr"][case], err
     if case.startswith("output-"):
         assert err.startswith(f"error: cannot write {argv[-1]}: ")
+    if case == "non-utf8-file":
+        assert err.startswith(f"error: cannot read {latin1}: ")
     if case in ("member-not-integer", "member-empty"):
         assert "--member" in err and "weights" not in err
     if case.endswith("-deep-json"):
@@ -944,6 +949,80 @@ def test_bad_input_never_ends_in_traceback(tmp_path, capsys, monkeypatch,
         for text in ('"abc"', '{"d": 5}'):
             listed.write_text(text)
             assert run(capsys, "classify", "--file", str(listed))[2] == err
+
+
+def _scanned_depth(text):
+    """The character-by-character reader that _json_depth replaced."""
+    depth = deepest = 0
+    in_string = escaped = False
+    for ch in text:
+        if in_string:
+            if escaped:
+                escaped = False
+            elif ch == "\\":
+                escaped = True
+            elif ch == '"':
+                in_string = False
+        elif ch == '"':
+            in_string = True
+        elif ch in "[{":
+            depth += 1
+            deepest = max(deepest, depth)
+        elif ch in "]}":
+            depth -= 1
+    return deepest
+
+
+def test_json_depth_matches_the_character_scan():
+    # invalid JSON too: which error a file gets depends on its depth.
+    # The fixed texts open with a closing bracket, end inside a string
+    # or on a lone backslash, and put runs of backslashes before quotes.
+    rng = random.Random(20201203)
+    texts = ["", "]", "][[", '"', '"[', '\\', '"\\', '"\\"[', '\\"[',
+             '"\\\\"[', '"\\\\\\"[', '["\\\n]"]', '{"a": "\\"}"}']
+    for _ in range(50_000):
+        texts.append("".join(rng.choice('[]{}"\\a,\n')
+                             for _ in range(rng.randrange(40))))
+    for text in texts:
+        assert cli._json_depth(text) == _scanned_depth(text), repr(text)
+
+
+@pytest.mark.parametrize("char, count, quoted", [
+    ("a", 8 << 20, True), ('"', 4 << 20, True), ("\\", 4 << 20, True),
+    ("[", 8 << 20, False)],
+    ids=["letters", "escaped-quotes", "backslashes", "brackets"])
+def test_long_input_reads_in_bounded_memory(tmp_path, capsys, char, count,
+                                            quoted):
+    # 8 MiB of the file's text beside the action: a string, which
+    # from_dict ignores, or brackets, which the depth check rejects before
+    # the decoder sees them.  Only the child runs under the cap, 96 MiB
+    # of address space, where the character-by-character reader needs
+    # less than 64: a reader that keeps state per character, escape or
+    # bracket runs out of memory there.
+    resource = pytest.importorskip("resource")
+    cap = 96 << 20
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    action = tmp_path / "action.json"
+    note = json.dumps(char * count) if quoted else char * count
+    action.write_text('{"d": 5, "weights": [0, 1, 3], "note": ' + note + "}")
+    assert 8 << 20 <= action.stat().st_size < 9 << 20
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-m", "gt_toolkit.cli",
+                           "classify", "--file", str(action),
+                           "--format", "json"],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=src),
+                          preexec_fn=limit)
+    if quoted:
+        expected = (0, *run(capsys, "classify", "5", "0,1,3",
+                                "--format", "json")[1:])
+    else:
+        expected = (1, "", f"error: JSON in {action} nests deeper than "
+                           f"{cli.JSON_MAX_DEPTH} levels\n")
+    assert (done.returncode, done.stdout, done.stderr) == expected
 
 
 def test_signed_ascii_integers_still_parse(capsys):

@@ -1,5 +1,3 @@
-from itertools import combinations_with_replacement
-from math import gcd
 from operator import add
 
 import pytest
@@ -12,22 +10,7 @@ from gt_toolkit.resolution import betti_table, generator_counts
 from gt_toolkit.toricideal import (BinomialGeneratorSet, fiber_partition,
                                    ideal_dimension, minimal_generators)
 
-from surfaces import surface_triples
-
-
-def weight_class(weights, d):
-    """Canonical form of a weight triple under unit scaling, global shift
-    and coordinate permutation; equivalent actions share the toric ideal
-    up to relabeling."""
-    best = None
-    for u in range(1, d):
-        if gcd(u, d) != 1:
-            continue
-        for c in range(d):
-            candidate = tuple(sorted((u * w + c) % d for w in weights))
-            if best is None or candidate < best:
-                best = candidate
-    return best
+from surfaces import action_classes, surface_triples, weight_class
 
 
 # Weight classes where exact elimination shows the ideal needs a single
@@ -244,21 +227,6 @@ def _multiset_route(action):
                   for ms in _multiset_fibers(action, 4).values())
     gens = invariant_monomials(action, 1)
     return BinomialGeneratorSet(gens, tuple(quadrics), tuple(cubics), deficit)
-
-
-def action_classes(nvars, max_d):
-    """One action per class under unit scaling, shift and permutation of
-    the weights, repeated weights included."""
-    for d in range(3, max_d + 1):
-        seen = set()
-        for rest in combinations_with_replacement(range(d), nvars - 1):
-            weights = (0,) + rest
-            if gcd(*weights, d) != 1:
-                continue
-            key = weight_class(weights, d)
-            if key not in seen:
-                seen.add(key)
-                yield CyclicAction(d, key)
 
 
 def test_generator_graph_matches_multiset_route():
