@@ -23,8 +23,8 @@ command, or of one after its name.  Integer arguments and the
 comma-separated vectors accept only ASCII decimals, [+-]?[0-9]+.  JSON
 input files are read as UTF-8 and may nest at most JSON_MAX_DEPTH (64)
 levels.  The depth is read before the file is decoded, by two regexes
-and a running maximum, in memory that does not grow with the length of
-a string in the file.
+and a running maximum over copies of the text, with no state kept per
+character, escape or bracket.
 """
 
 from __future__ import annotations

@@ -23,7 +23,7 @@ def surface_actions(max_d):
 
 
 def weight_class(weights, d):
-    """Canonical form of a weight triple under unit scaling, global shift
+    """Canonical form of a weight vector under unit scaling, global shift
     and coordinate permutation; equivalent actions share the toric ideal
     up to relabeling."""
     best = None
