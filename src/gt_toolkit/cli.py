@@ -4,15 +4,18 @@ Exit codes: 0 success, 1 usage or input error, 2 a computation finished
 but carries a flagged internal discrepancy or an internal cross-check
 failed, 3 a verification check failed, 4 out of memory: a valid input
 whose computation or report does not fit in the memory the process may
-use.  Output is deterministic:
-identical inputs give byte-identical output in both table and JSON
-formats.  Each command handler builds only its report and returns it
-with its renderer, a function of the report alone that yields the table
-lines: the table is a view of the JSON report, and a JSON run builds no
-table text.  One writer, _json_text, writes every JSON report,
-byte-identical to json.dumps(report, indent=2, sort_keys=True).  Input
-is read under Python's int-to-str digit limit; main lifts the limit only
-while it renders a report, whose integers may exceed it.
+use.  A flagged report and a failed check are the handler's status;
+every other failure is raised, as one exception type per code, which
+main alone catches: ValueError for 1, InternalDiscrepancy for 2 and
+MemoryError for 4.  Output is deterministic: identical inputs give
+byte-identical output in both table and JSON formats.  Each command
+handler builds only its report and returns it with its renderer, a
+function of the report alone that yields the table lines: the table is
+a view of the JSON report, and a JSON run builds no table text.  One
+writer, _json_text, writes every JSON report, byte-identical to
+json.dumps(report, indent=2, sort_keys=True).  Input is read under
+Python's int-to-str digit limit; main lifts the limit only while it
+renders a report, whose integers may exceed it.
 
 Arguments are read against one module-level table, _COMMANDS, of each
 subcommand's handler, positionals and options.  Options may come
@@ -52,10 +55,6 @@ OK, USAGE_ERROR, DISCREPANCY, CHECK_FAILED, OUT_OF_MEMORY = 0, 1, 2, 3, 4
 JSON_MAX_DEPTH = 64
 
 
-class _UsageError(Exception):
-    pass
-
-
 _INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
@@ -84,7 +83,7 @@ def _parse_ints(text: str, what: str) -> tuple[int, ...]:
     try:
         return tuple(_int(p) for p in text.split(","))
     except ValueError as exc:
-        raise _UsageError(f"{what} must be comma-separated integers: {exc}")
+        raise ValueError(f"{what} must be comma-separated integers: {exc}")
 
 
 # lazy, not a repeated group: re keeps backtracking state for each
@@ -111,19 +110,19 @@ def _load_json(path: str) -> dict:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
-        raise _UsageError(f"cannot read {path}: {exc}")
+        raise ValueError(f"cannot read {path}: {exc}")
     # the decoder recurses once per level, so the depth is checked first
     if _json_depth(text) > JSON_MAX_DEPTH:
-        raise _UsageError(f"JSON in {path} nests deeper than "
-                          f"{JSON_MAX_DEPTH} levels")
+        raise ValueError(f"JSON in {path} nests deeper than "
+                         f"{JSON_MAX_DEPTH} levels")
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise _UsageError(f"invalid JSON in {path}: {exc}")
+        raise ValueError(f"invalid JSON in {path}: {exc}")
     except ValueError:
         # the decoder's only other ValueError: int() past the digit limit
-        raise _UsageError(f"an integer in {path} has more than "
-                          f"{sys.get_int_max_str_digits()} digits") from None
+        raise ValueError(f"an integer in {path} has more than "
+                         f"{sys.get_int_max_str_digits()} digits") from None
 
 
 def _action_from_args(args) -> CyclicAction:
@@ -131,10 +130,10 @@ def _action_from_args(args) -> CyclicAction:
     inline = args.d is not None or args.weights is not None
     if args.file is not None:
         if inline:
-            raise _UsageError("give either d and weights or --file, not both")
+            raise ValueError("give either d and weights or --file, not both")
         return CyclicAction.from_dict(_load_json(args.file))
     if args.d is None or args.weights is None:
-        raise _UsageError("need both d and weights (or --file)")
+        raise ValueError("need both d and weights (or --file)")
     return CyclicAction(args.d, _parse_ints(args.weights, "weights"))
 
 
@@ -150,7 +149,7 @@ def _surface_line(profile: dict) -> str:
 def _cmd_invariants(args):
     action = _action_from_args(args)
     if args.horizon < 1:
-        raise _UsageError("--t must be at least 1")
+        raise ValueError("--t must be at least 1")
     per_degree = []
     for t in range(1, args.horizon + 1):
         monomials = invariant_monomials(action, t)
@@ -188,7 +187,7 @@ def _classify_text(report):
 def _cmd_hilbert(args):
     profile = surface_profile(args.a, args.b, args.d)
     if args.horizon < 1:
-        raise _UsageError("--t must be at least 1")
+        raise ValueError("--t must be at least 1")
     action = profile.action
     data = hilbert_series(profile, args.horizon)
     table = []
@@ -284,7 +283,7 @@ def _binomial_str(binomial) -> str:
 
 def _semigroup_report(H: AffineSemigroup, bound: int, query=None):
     if bound < 1:
-        raise _UsageError("--bound must be at least 1")
+        raise ValueError("--bound must be at least 1")
     report = {"semigroup": H.to_dict(), "degree": H.degree,
               "normality": is_normal_up_to(H, bound).to_dict(),
               "trung": trung_cm_check(H, bound).to_dict()}
@@ -394,7 +393,7 @@ def _parse(argv):
     if name in _HELP or len(name) > 2 and "--help".startswith(name):
         return _usage(_COMMANDS)
     if name not in _COMMANDS:
-        raise _UsageError(f"no command {name!r}; gt-toolkit -h lists them")
+        raise ValueError(f"no command {name!r}; gt-toolkit -h lists them")
     run, _, spec = _COMMANDS[name]
     values = {dest: default for dest, _, default in spec.values()}
     positionals = [key for key in spec if key[0] != "-"]
@@ -405,27 +404,27 @@ def _parse(argv):
         found = [f for f in (*spec, *_HELP) if f == flag or len(flag) > 2
                  and flag[:2] == "--" and f.startswith(flag)] if option else []
         if len(found) > 1:
-            raise _UsageError(f"ambiguous option {flag}: {', '.join(found)}")
+            raise ValueError(f"ambiguous option {flag}: {', '.join(found)}")
         if found and found[0] in _HELP:
             return _usage([name])
         if found:
             label = found[0]
             text = text if eq else next(args, None)
             if text is None:
-                raise _UsageError(f"argument {label}: expected one argument")
+                raise ValueError(f"argument {label}: expected one argument")
         # as in argparse, an unknown "-..." with a space is a value
         elif taken == len(positionals) or option and " " not in arg:
-            raise _UsageError(f"unrecognized argument {arg!r}")
+            raise ValueError(f"unrecognized argument {arg!r}")
         else:
             label, text, taken = positionals[taken], arg, taken + 1
         dest, convert, _ = spec[label]
         try:
             values[dest] = convert(text)
         except ValueError as exc:
-            raise _UsageError(f"argument {label}: {exc}")
+            raise ValueError(f"argument {label}: {exc}")
     missing = [p for p in positionals if values[p] is ...]
     if missing:
-        raise _UsageError(f"missing arguments: {', '.join(missing)}")
+        raise ValueError(f"missing arguments: {', '.join(missing)}")
     return SimpleNamespace(run=run, **values)
 
 
@@ -511,7 +510,7 @@ def main(argv=None) -> int:
                     else "\n".join(render(report))) + "\n"
         finally:
             sys.set_int_max_str_digits(digits)
-    except (_UsageError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except InternalDiscrepancy as exc:

@@ -12,6 +12,11 @@ read them from it.  The enumeration count of degree-d invariants is the
 authority for theta: the profile carries both the gcd-formula value and
 the counted value, and its consistency verdict is derived from the two
 on every read, so a mismatch is flagged instead of silently choosing.
+Every surface invariant is a half: HF(t) = (d*t^2 + theta*t + 2)/2,
+codim = (d + theta - 4)/2, CM type = (d - theta + 2)/2 and mu_d by
+the theta formula, (d + theta + 2)/2.  One helper, _half, takes each of them
+exactly; an odd numerator means theta and d differ in parity, which the
+theory rules out, so it raises InternalDiscrepancy.
 """
 
 from __future__ import annotations
@@ -31,6 +36,15 @@ def hf_by_counting(action: CyclicAction, t: int) -> int:
     if t == 0:
         return 1
     return count_invariants(action, t)
+
+
+def _half(n: int) -> int:
+    """n/2 exactly; every surface invariant is a half whose numerator is
+    even because theta = d (mod 2), so an odd n is a defect."""
+    q, r = divmod(n, 2)
+    if r:
+        raise InternalDiscrepancy("theta and d must have the same parity")
+    return q
 
 
 def _validate_surface(a: int, b: int, d: int):
@@ -98,7 +112,9 @@ class SurfaceProfile(NamedTuple):
     of degree-d invariants.  consistent says whether they agree via
     mu_d = (d + theta + 2) / 2.  When they disagree both values stay
     available (theta_from_count, mu_d_from_theta) and every consumer
-    can see the flag.
+    can see the flag.  mu_d_from_theta, codim and cm_type are exact
+    halves of theta and d; a theta whose parity differs from d's raises
+    InternalDiscrepancy on reading any of them.
     """
 
     a: int
@@ -121,7 +137,7 @@ class SurfaceProfile(NamedTuple):
 
     @property
     def mu_d_from_theta(self) -> int:
-        return (self.d + self.theta + 2) // 2
+        return _half(self.d + self.theta + 2)
 
     @property
     def consistent(self) -> bool:
@@ -133,14 +149,11 @@ class SurfaceProfile(NamedTuple):
 
     @property
     def codim(self) -> int:
-        q, r = divmod(self.d + self.theta - 4, 2)
-        if r:
-            raise ArithmeticError("theta and d must have the same parity")
-        return q
+        return _half(self.d + self.theta - 4)
 
     @property
     def cm_type(self) -> int:
-        return (self.d - self.theta + 2) // 2
+        return _half(self.d - self.theta + 2)
 
     @property
     def reg(self) -> int:
@@ -188,15 +201,14 @@ def surface_profile(a: int, b: int, d: int) -> SurfaceProfile:
 
 
 def hf_closed_form(profile: SurfaceProfile, t: int) -> int:
-    """Evaluate (d*t^2 + theta*t + 2) / 2 exactly."""
+    """Evaluate (d*t^2 + theta*t + 2) / 2 exactly.
+
+    The numerator is odd only if t is odd and theta and d differ in
+    parity; that raises InternalDiscrepancy.
+    """
     if t < 0:
         raise ValueError("t must be nonnegative")
-    num = profile.d * t * t + profile.theta * t + 2
-    q, r = divmod(num, 2)
-    if r:
-        raise ArithmeticError(
-            f"closed form is not integral at t={t} for {profile}")
-    return q
+    return _half(profile.d * t * t + profile.theta * t + 2)
 
 
 class HilbertData(NamedTuple):

@@ -41,12 +41,15 @@ def action_classes(nvars, max_d):
     """One action per class under unit scaling, shift and permutation of
     the weights, repeated weights included."""
     for d in range(3, max_d + 1):
+        units = [u for u in range(1, d) if gcd(u, d) == 1]
         seen = set()
         for rest in combinations_with_replacement(range(d), nvars - 1):
             weights = (0,) + rest
-            if gcd(*weights, d) != 1:
+            if weights in seen or gcd(*weights, d) != 1:
                 continue
-            key = weight_class(weights, d)
-            if key not in seen:
-                seen.add(key)
-                yield CyclicAction(d, key)
+            # the class is the orbit of its first vector; its least
+            # member is the weight_class of each vector in it
+            orbit = {tuple(sorted((u * w + c) % d for w in weights))
+                     for u in units for c in range(d)}
+            seen |= orbit
+            yield CyclicAction(d, min(orbit))

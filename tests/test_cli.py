@@ -1,10 +1,27 @@
+"""Tests of the command-line front end.
+
+cli_digests.json pins CLI bytes by sha256: its "stdout" map keys each
+argv, words joined by spaces, to its stdout, and its "stderr" map keys
+each failure case to its error line.  A change that alters a report on
+purpose rewrites the "stdout" map from the current code with
+
+    PYTHONPATH=src python3 tests/test_cli.py
+
+which runs each argv of the map with FILE standing for a file that
+holds CUBIC_FILE in a temporary directory, and leaves "stderr" as it
+is.  Name each digest that changed.
+"""
+
 import ast
+import contextlib
 import hashlib
+import io
 import json
 import os
 import random
 import subprocess
 import sys
+import tempfile
 from collections import OrderedDict
 from fractions import Fraction
 from math import comb, gcd
@@ -20,10 +37,8 @@ from gt_toolkit.semigroups import _apery, make_hk
 from surfaces import surface_triples
 
 README = Path(__file__).resolve().parents[1] / "README.md"
-# sha256 of pinned CLI outputs: "stdout" maps an argv, words joined by
-# spaces, to its stdout, and "stderr" a failure case to its error line
-DIGESTS = json.loads(Path(__file__).with_name("cli_digests.json")
-                     .read_text(encoding="utf-8"))
+DIGESTS_FILE = Path(__file__).with_name("cli_digests.json")
+DIGESTS = json.loads(DIGESTS_FILE.read_text(encoding="utf-8"))
 
 
 def run(capsys, *argv):
@@ -174,23 +189,18 @@ def test_deterministic_output(capsys):
     assert first == second
 
 
-# sha256 of the invariants report, pinned from the enumerator's output
-INVARIANTS_REPORTS = {
-    ("8", "0,3,5", "3", "table"):
-        "d1f9ec0bce62b06f1540936189ca979a25d54e45baa98fe8a1787e505f74170e",
-    ("8", "0,3,5", "3", "json"):
-        "3e0266e47295174ade3677706f6dbff932b3816a8de465f7662035165af723b2",
-    ("4", "0,1,2,3", "2", "table"):
-        "619e1a7b9c927ab787661bdec64dd33fc8d9f1d390fdbd99738d42d24927c5b8",
-    ("4", "0,1,2,3", "2", "json"):
-        "d87b02ea8352298eafacce6b09de3dd394cab04acf6effd3d1e0711b63758888",
-}
+# the invariants reports whose stdout cli_digests.json pins
+INVARIANTS_REPORTS = [(d, weights, horizon, fmt)
+                      for d, weights, horizon in (("8", "0,3,5", "3"),
+                                                  ("4", "0,1,2,3", "2"))
+                      for fmt in ("table", "json")]
 
 
 @pytest.mark.parametrize("d, weights, horizon, fmt", INVARIANTS_REPORTS)
 def test_invariants_report(capsys, d, weights, horizon, fmt):
-    status, out, _ = run(capsys, "invariants", d, weights, "--t", horizon,
-                         "--format", fmt)
+    argv = ["invariants", d, weights, "--t", horizon]
+    argv += ["--format", "json"] if fmt == "json" else []
+    status, out, _ = run(capsys, *argv)
     assert status == 0
     action = CyclicAction(int(d), tuple(map(int, weights.split(","))))
     if fmt == "json":
@@ -211,7 +221,7 @@ def test_invariants_report(capsys, d, weights, horizon, fmt):
         assert monomials == (expected if fmt == "json" else
                              [format_monomial(m) for m in expected])
     digest = hashlib.sha256(out.encode()).hexdigest()
-    assert digest == INVARIANTS_REPORTS[d, weights, horizon, fmt]
+    assert digest == DIGESTS["stdout"][" ".join(argv)]
 
 
 def test_usage_errors(capsys):
@@ -328,6 +338,21 @@ def test_cross_check_failure_exits_with_discrepancy(capsys, monkeypatch):
     assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["hilbert", "betti"])
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_parity_fault_exits_with_discrepancy(capsys, monkeypatch, command,
+                                             fmt):
+    # theta = d (mod 2) makes every surface invariant a whole half; a
+    # theta off by one is a defect, reported on one stderr line
+    profile = surface_profile(1, 3, 7)
+    faulty = profile._replace(theta=profile.theta + 1)
+    monkeypatch.setattr(cli, "surface_profile", lambda a, b, d: faulty)
+    status, out, err = run(capsys, command, "1", "3", "7", "--format", fmt)
+    assert (status, out) == (2, "")
+    assert err == ("internal discrepancy: "
+                   "theta and d must have the same parity\n")
+
+
 @pytest.mark.parametrize("fault, t", [
     *(("miscount", t) for t in (1, 2, 3, 4)), ("lost", 1), ("repeated", 1)])
 def test_graph_check_failure_exits_with_discrepancy(capsys, monkeypatch,
@@ -373,18 +398,22 @@ def test_ideal_json_formats_no_table_text(capsys, monkeypatch):
     assert calls["_binomial_str"] > 0 and calls["format_monomial"] > 0
 
 
-# sha256 of each subcommand's output; FILE stands for a file holding
-# CUBIC_FILE.  Every record that the text reads is pinned here.
+def _pinned_run(argv, file):
+    """Exit status and stdout sha256 of argv, FILE standing for file."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        status = cli.main([file if a == "FILE" else a for a in argv])
+    return status, hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+# every record that a subcommand's text reads is pinned in cli_digests.json
 @pytest.mark.parametrize("argv, digest", [
     (tuple(argv.split()), digest)
     for argv, digest in DIGESTS["stdout"].items()])
-def test_table_bytes_are_pinned(tmp_path, capsys, argv, digest):
+def test_table_bytes_are_pinned(tmp_path, argv, digest):
     path = tmp_path / "semigroup.json"
     path.write_text(json.dumps(CUBIC_FILE))
-    status, out, _ = run(capsys, *(str(path) if a == "FILE" else a
-                                   for a in argv))
-    assert status == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert _pinned_run(argv, str(path)) == (0, digest)
 
 
 def _view_argvs():
@@ -1077,3 +1106,15 @@ def test_help_lists_every_command_and_option():
     assert "gt-toolkit hilbert a b d [--format FORMAT] [--output OUTPUT] " \
            "[--t T]\n" in done.stdout
     assert "invariants" not in done.stdout
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        cubic = Path(tmp, "FILE")
+        cubic.write_text(json.dumps(CUBIC_FILE))
+        for key in DIGESTS["stdout"]:
+            status, DIGESTS["stdout"][key] = _pinned_run(key.split(),
+                                                         str(cubic))
+            assert status == 0, key
+    DIGESTS_FILE.write_text(json.dumps(DIGESTS, indent=2) + "\n",
+                            encoding="utf-8")

@@ -93,7 +93,7 @@ def _by_oracle(argv):
 def _by_table(argv):
     try:
         parsed = cli._parse(argv)
-    except cli._UsageError:
+    except ValueError:
         return ("rejected",)
     if isinstance(parsed, str):
         return ("help",)
