@@ -1,21 +1,25 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 usage or input error, 2 a computation finished
-but carries a flagged internal discrepancy or an internal cross-check
-failed, 3 a verification check failed, 4 out of memory: a valid input
-whose computation or report does not fit in the memory the process may
-use.  A flagged report and a failed check are the handler's status;
-every other failure is raised, as one exception type per code, which
-main alone catches: ValueError for 1, InternalDiscrepancy for 2 and
-MemoryError for 4.  Output is deterministic: identical inputs give
-byte-identical output in both table and JSON formats.  Each command
-handler builds only its report and returns it with its renderer, a
-function of the report alone that yields the table lines: the table is
-a view of the JSON report, and a JSON run builds no table text.  One
-writer, _json_text, writes every JSON report, byte-identical to
-json.dumps(report, indent=2, sort_keys=True).  Input is read under
-Python's int-to-str digit limit; main lifts the limit only while it
-renders a report, whose integers may exceed it.
+Exit codes: 0 success, 1 usage or input error, 2 an internal
+discrepancy: hilbert and betti write their report with its FLAG lines,
+and a failed internal cross-check writes one "internal discrepancy:"
+line and no report, 3 a verification check failed, 4 out of memory: a
+valid input whose computation or report does not fit in the memory the
+process may use, 130 interrupted, 141 stdout closed before the report
+was written (the codes of a shell for a death by SIGINT and SIGPIPE).
+A flagged report and a failed check are the handler's status; every
+other failure is raised, as one exception type per code, which main
+alone catches: ValueError for 1, InternalDiscrepancy for 2, MemoryError
+for 4, KeyboardInterrupt for 130 and BrokenPipeError for 141; each
+ends in one stderr line and no traceback.  Output is deterministic:
+identical inputs give byte-identical output in both table and JSON
+formats.  Each command handler builds only its report and returns it
+with its renderer, a function of the report alone that yields the table
+lines: the table is a view of the JSON report, and a JSON run builds no
+table text.  One writer, _json_text, writes every JSON report,
+byte-identical to json.dumps(report, indent=2, sort_keys=True).  Input
+is read under Python's int-to-str digit limit; main lifts the limit
+only while it renders a report, whose integers may exceed it.
 
 Arguments are read against one module-level table, _COMMANDS, of each
 subcommand's handler, positionals and options.  Options may come
@@ -33,6 +37,7 @@ character, escape or bracket.
 from __future__ import annotations
 
 import json
+import os
 import re
 import sys
 from itertools import accumulate
@@ -51,6 +56,8 @@ from .toricideal import minimal_generators
 from .verify import run_reference_checks
 
 OK, USAGE_ERROR, DISCREPANCY, CHECK_FAILED, OUT_OF_MEMORY = 0, 1, 2, 3, 4
+# the codes a shell gives a death by SIGINT and by SIGPIPE, 128 + signal
+INTERRUPTED, BROKEN_PIPE = 130, 141
 # action files nest 2 levels and semigroup files 3
 JSON_MAX_DEPTH = 64
 
@@ -230,7 +237,7 @@ def _hilbert_text(report):
 def _cmd_betti(args):
     profile = surface_profile(args.a, args.b, args.d)
     table = betti_table(profile)
-    counts = generator_counts(table)
+    counts = generator_counts(profile)
     series = series_from_betti(table)
     flags = list(profile.flags)
     if not series.matches_closed_form:
@@ -498,42 +505,51 @@ def main(argv=None) -> int:
     try:
         args = _parse(sys.argv[1:] if argv is None else argv)
         if isinstance(args, str):
-            sys.stdout.write(args)
-            return OK
-        report, render, status = args.run(args)
-        # input was read under the int-to-str digit limit; a report's own
-        # integers, such as Betti numbers of large d, may exceed it
-        digits = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(0)
-        try:
-            text = (_json_text(report) if args.format == "json"
-                    else "\n".join(render(report))) + "\n"
-        finally:
-            sys.set_int_max_str_digits(digits)
+            text, status, path = args, OK, None
+        else:
+            report, render, status = args.run(args)
+            # input was read under the int-to-str digit limit; a report's
+            # own integers, such as Betti numbers of large d, may exceed it
+            digits = sys.get_int_max_str_digits()
+            sys.set_int_max_str_digits(0)
+            try:
+                text = (_json_text(report) if args.format == "json"
+                        else "\n".join(render(report))) + "\n"
+            finally:
+                sys.set_int_max_str_digits(digits)
+            path = args.output
+        if path is None:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        else:
+            try:
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise ValueError(f"cannot write {path}: {exc}") from None
+        return status
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except InternalDiscrepancy as exc:
         print(f"internal discrepancy: {exc}", file=sys.stderr)
         return DISCREPANCY
+    except BrokenPipeError:
+        # as in the Python documentation's note on SIGPIPE: stdout goes
+        # to devnull, so that the flush at exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: stdout was closed before the report was written",
+              file=sys.stderr)
+        return BROKEN_PIPE
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return INTERRUPTED
     except MemoryError:
-        text = None
-    if text is None:
-        # reported only here, where the traceback and the data its frames
-        # held are freed, so that the report has memory to be written
-        print("error: out of memory", file=sys.stderr)
-        return OUT_OF_MEMORY
-    if args.output is not None:
-        try:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            print(f"error: cannot write {args.output}: {exc}",
-                  file=sys.stderr)
-            return USAGE_ERROR
-    else:
-        sys.stdout.write(text)
-    return status
+        pass
+    # reported only here, where the traceback and the data its frames
+    # held are freed, so that the report has memory to be written
+    print("error: out of memory", file=sys.stderr)
+    return OUT_OF_MEMORY
 
 
 if __name__ == "__main__":

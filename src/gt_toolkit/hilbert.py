@@ -228,21 +228,17 @@ class HilbertData(NamedTuple):
 
 
 def hilbert_series(profile: SurfaceProfile, horizon: int = 6) -> HilbertData:
-    """Closed-form Hilbert data; the table is re-derived from the series.
+    """Closed-form Hilbert data: polynomial, series and HF(t), t <= horizon.
 
-    The numerator is 1 + codim z + cm_type z^2 over (1-z)^3; its
-    expansion is checked against the closed form for every tabulated t.
+    The numerator is 1 + codim z + cm_type z^2 over (1-z)^3.  Its
+    expansion is the closed form (d t^2 + theta t + 2)/2 for every t, an
+    identity of the two halves that a Tier-1 test holds over a (d, theta)
+    grid; the table is the closed form itself.
     """
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
     numerator = (1, profile.codim, profile.cm_type)
     table = tuple(hf_closed_form(profile, t) for t in range(horizon + 1))
-    for t in range(horizon + 1):
-        from_series = sum(numerator[k] * math.comb(t - k + 2, 2)
-                          for k in range(3) if t - k >= 0)
-        if from_series != table[t]:
-            raise InternalDiscrepancy(
-                f"series expansion disagrees with the closed form at t={t}")
     poly = (Fraction(profile.d, 2), Fraction(profile.theta, 2), Fraction(1))
     return HilbertData(poly, numerator, table)
 

@@ -140,7 +140,9 @@ def make_hk(k: int, t_prime: int) -> AffineSemigroup:
 
     The base case t' = 0 coincides with make_h3t(1), and k = 1
     reproduces make_h3t(1 + t').  Generator degree is 3(1 + t'k) and the
-    generator count is 3(t' + 1) + 1.
+    generator count is 3(t' + 1) + 1: each step shifts the distinct
+    generators injectively to vectors with every coordinate at least
+    k >= 1, so none is one of the step's three new axis vectors.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -151,11 +153,7 @@ def make_hk(k: int, t_prime: int) -> AffineSemigroup:
         size = 3 * (1 + s * k)
         shifted = [(a + k, b + k, c + k) for a, b, c in gens]
         gens = [(size, 0, 0), (0, size, 0), (0, 0, size)] + shifted
-    semigroup = AffineSemigroup.from_generators(gens)
-    if len(semigroup.generators) != 3 * (t_prime + 1) + 1:
-        raise InternalDiscrepancy(
-            f"expected {3 * (t_prime + 1) + 1} generators")
-    return semigroup
+    return AffineSemigroup.from_generators(gens)
 
 
 class Membership(NamedTuple):

@@ -142,7 +142,7 @@ def test_criterion_06_toric_ideal_cross_check():
         found = minimal_generators(p.action)
         if found.degree4_deficit != 0:
             failures.append(f"degree-4 generators needed at {(a, b, d)}")
-        formula = generator_counts(betti_table(p))
+        formula = generator_counts(p)
         if found.counts != (formula.quadrics, formula.cubics):
             mismatches.append((a, b, d, found.counts,
                                (formula.quadrics, formula.cubics)))

@@ -218,7 +218,7 @@ def test_every_record_is_immutable():
     table = resolution.betti_table(profile)
     H = semigroups.semigroup_of_action(action)
     records = [action, profile, hilbert.hilbert_series(profile), table,
-               resolution.generator_counts(table),
+               resolution.generator_counts(profile),
                resolution.series_from_betti(table), H,
                semigroups.member(H, (5, 0, 0)),
                semigroups.is_normal_up_to(H, 2),

@@ -29,7 +29,8 @@ from pathlib import Path
 
 import pytest
 
-from gt_toolkit import cli, resolution, togliatti, toricideal, verify
+from gt_toolkit import (cli, resolution, semigroups, togliatti, toricideal,
+                        verify)
 from gt_toolkit.actions import (CyclicAction, format_monomial,
                                 invariant_monomials, mu_d)
 from gt_toolkit.hilbert import hf_closed_form, surface_profile
@@ -644,17 +645,21 @@ def test_output_does_not_depend_on_the_hash_seed():
         assert runs[0].stdout == runs[1].stdout, args
 
 
-def test_inconsistent_profile_is_flagged(capsys, monkeypatch):
-    # a profile whose count disagrees with theta is flagged and exits 2;
-    # the invariants block keeps the theta formula's mu_d beside it
+@pytest.mark.parametrize("command", ["hilbert", "betti"])
+def test_inconsistent_profile_is_flagged(capsys, monkeypatch, command):
+    # a profile whose count disagrees with theta is flagged: the report
+    # is written in full, with its flag, and exits 2; hilbert's
+    # invariants block keeps the theta formula's mu_d beside the count
     stale = surface_profile(1, 3, 6)._replace(mu_d=8)
     monkeypatch.setattr(cli, "surface_profile", lambda a, b, d: stale)
-    status, out, _ = run(capsys, "hilbert", "1", "3", "6", "--format", "json")
+    status, out, err = run(capsys, command, "1", "3", "6", "--format", "json")
     report = json.loads(out)
-    assert status == 2
+    assert (status, err) == (2, "")
     assert report["profile"]["mu_d"] == 8
-    assert report["invariants"]["mu_d"] == 7
     assert report["profile"]["consistent"] is False
+    assert report["flags"][0] == stale.flags[0]
+    if command == "hilbert":
+        assert report["invariants"]["mu_d"] == 7
 
 
 def test_surface_reports_pin_invariants_and_closed_form(capsys):
@@ -706,6 +711,44 @@ def test_out_of_memory_is_one_error_line():
     assert "| 4    | out of memory" in README.read_text(encoding="utf-8")
 
 
+def test_closed_stdout_is_one_error_line():
+    # the pipe's read end is closed before the child starts, so the
+    # write of the report fails whatever its size or timing; the
+    # 143,920-byte report would also outgrow a 64 KiB pipe buffer
+    src = str(Path(cli.__file__).resolve().parents[1])
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run([sys.executable, "-m", "gt_toolkit.cli",
+                               "ideal", "8", "0,1,2,3,5", "--format", "json"],
+                              stdout=write_end, stderr=subprocess.PIPE,
+                              text=True, timeout=120,
+                              env=dict(os.environ, PYTHONPATH=src))
+    finally:
+        os.close(write_end)
+    assert done.returncode == cli.BROKEN_PIPE == 141
+    assert done.stderr == \
+        "error: stdout was closed before the report was written\n"
+    assert hashlib.sha256(done.stderr.encode()).hexdigest() == \
+        DIGESTS["stderr"]["closed-stdout"]
+    assert "| 141  | stdout was closed" in README.read_text(encoding="utf-8")
+
+
+def test_interrupt_is_one_error_line(capsys, monkeypatch):
+    # a KeyboardInterrupt raised inside the computation, as SIGINT
+    # raises it, ends the command with one stderr line and no report
+    def interrupted(action):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "minimal_generators", interrupted)
+    status, out, err = run(capsys, "ideal", "10", "0,1,2,3,4,5,6")
+    assert (status, out) == (cli.INTERRUPTED, "") and status == 130
+    assert err == "error: interrupted\n"
+    assert hashlib.sha256(err.encode()).hexdigest() == \
+        DIGESTS["stderr"]["interrupted"]
+    assert "| 130  | interrupted" in README.read_text(encoding="utf-8")
+
+
 def test_readme_hilbert_example_is_verbatim(capsys):
     prompt = "$ gt-toolkit hilbert 1 3 6 --t 3\n"
     text = README.read_text(encoding="utf-8")
@@ -754,6 +797,25 @@ def test_semigroup_member_with_big_integer_coordinates(tmp_path, capsys):
     total = [sum(gens[i][k] for i in answer["decomposition"])
              for k in range(3)]
     assert total == query
+
+
+def test_member_resum_fault_exits_with_discrepancy(tmp_path, capsys,
+                                                  monkeypatch):
+    # the Apery set is built and re-summed before the fault is planted,
+    # so the re-sum that fails is member's, of its decomposition
+    path = tmp_path / "semigroup.json"
+    path.write_text(json.dumps(CUBIC_FILE))
+    argv = ("semigroup", str(path), "--bound", "1", "--member", "14,10,6")
+    _apery.cache_clear()
+    try:
+        assert run(capsys, *argv)[0] == 0
+        monkeypatch.setattr(semigroups, "_resum", lambda H, indices: ())
+        status, out, err = run(capsys, *argv)
+    finally:
+        _apery.cache_clear()
+    assert (status, out) == (2, "")
+    assert err == ("internal discrepancy: decomposition of (14, 10, 6) "
+                   "does not re-sum\n")
 
 
 def test_reports_do_not_depend_on_the_apery_cache(tmp_path, capsys):
@@ -814,7 +876,7 @@ def test_classify_ranks_once(capsys, monkeypatch):
 
 
 def test_betti_builds_one_table(capsys, monkeypatch):
-    # generator_counts checks its counts against the table it is given
+    # the table is built once, and its series is read from that table
     calls = []
     real_table = resolution.betti_table
 

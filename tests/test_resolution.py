@@ -1,8 +1,9 @@
+from math import comb
+
 import pytest
 
 from gt_toolkit.actions import CyclicAction
-from gt_toolkit.exactalg import InternalDiscrepancy
-from gt_toolkit.hilbert import hilbert_series, surface_profile
+from gt_toolkit.hilbert import hf_closed_form, hilbert_series, surface_profile
 from gt_toolkit.resolution import (betti_table, generator_counts,
                                    series_from_betti)
 from gt_toolkit.toricideal import (fiber_partition, ideal_dimension,
@@ -44,7 +45,7 @@ def test_betti_structure():
 def test_generator_count_goldens():
     for triple, expected in (((1, 2, 3), (0, 1)), ((1, 3, 6), (9, 0)),
                              ((1, 3, 5), (1, 2))):
-        counts = generator_counts(betti_table(surface_profile(*triple)))
+        counts = generator_counts(surface_profile(*triple))
         assert (counts.quadrics, counts.cubics) == expected
 
 
@@ -52,18 +53,34 @@ def test_generator_counts_match_first_column():
     for triple in surface_triples(12):
         profile = surface_profile(*triple)
         table = betti_table(profile)
-        counts = generator_counts(table)
+        counts = generator_counts(profile)
         assert counts.quadrics == table.rank(1, 1)
         assert counts.cubics == table.rank(1, 2)
         if profile.theta >= 4:
             assert counts.cubics == 0
 
 
-def test_generator_counts_check_the_given_table():
-    table = betti_table(surface_profile(1, 3, 6))
-    wrong = table._replace(entries={**table.entries, (1, 1): 8})
-    with pytest.raises(InternalDiscrepancy):
-        generator_counts(wrong)
+def test_closed_forms_agree_on_a_grid():
+    # two identities of closed forms in d and theta, held here instead
+    # of at run time: the series 1 + codim z + cm_type z^2 over (1-z)^3
+    # expands to (d t^2 + theta t + 2)/2, and the generator counts are
+    # the closed table's b(1,1) and b(1,2); every consistent pair with
+    # theta >= 3 and cm_type >= 1, realizable or not
+    base = surface_profile(1, 2, 3)
+    pairs = [(d, theta) for d in range(3, 81)
+             for theta in range(3, d + 1) if (d - theta) % 2 == 0]
+    assert len(pairs) == 1560
+    for d, theta in pairs:
+        p = base._replace(d=d, theta=theta, mu_d=(d + theta + 2) // 2)
+        assert p.consistent
+        numerator = hilbert_series(p, 0).numerator
+        for t in range(8):
+            expanded = sum(c * comb(t - k + 2, 2)
+                           for k, c in enumerate(numerator) if k <= t)
+            assert expanded == hf_closed_form(p, t), (d, theta, t)
+        table = betti_table(p)
+        assert generator_counts(p) == (table.rank(1, 1), table.rank(1, 2)), \
+            (d, theta)
 
 
 def test_first_betti_via_fibers_goldens():
@@ -86,7 +103,7 @@ def test_first_betti_equals_quadric_rank_identity():
         profile = surface_profile(*triple)
         via_fibers = fiber_partition(profile.action).relation_count
         assert via_fibers == ideal_dimension(profile.action, 2), triple
-        counts = generator_counts(betti_table(profile))
+        counts = generator_counts(profile)
         assert via_fibers == counts.quadrics, triple
 
 

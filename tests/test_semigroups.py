@@ -127,10 +127,12 @@ def test_make_hk():
                                              (5, 2, 2), (2, 5, 2), (2, 2, 5),
                                              (3, 3, 3)}
     assert make_hk(7, 0).generators == make_h3t(1).generators
-    for k, tp in [(2, 2), (3, 1)]:
-        H = make_hk(k, tp)
-        assert len(H.generators) == 3 * (tp + 1) + 1
-        assert H.degree == 3 * (1 + tp * k)
+    # the count holds by construction, so no run-time check guards it
+    for k in range(1, 7):
+        for tp in range(7):
+            H = make_hk(k, tp)
+            assert len(H.generators) == 3 * (tp + 1) + 1, (k, tp)
+            assert H.degree == 3 * (1 + tp * k), (k, tp)
     with pytest.raises(ValueError):
         make_hk(0, 1)
     with pytest.raises(ValueError):

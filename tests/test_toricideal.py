@@ -6,7 +6,7 @@ from gt_toolkit import toricideal
 from gt_toolkit.actions import CyclicAction, invariant_monomials, mu_d
 from gt_toolkit.exactalg import integer_rank
 from gt_toolkit.hilbert import surface_profile
-from gt_toolkit.resolution import betti_table, generator_counts
+from gt_toolkit.resolution import generator_counts
 from gt_toolkit.toricideal import (BinomialGeneratorSet, fiber_partition,
                                    ideal_dimension, minimal_generators)
 
@@ -115,7 +115,7 @@ def test_degree4_closure_sweep():
 def test_counts_against_formulas_with_known_exceptions():
     for (a, b, d) in surface_triples(12):
         profile = surface_profile(a, b, d)
-        counts = generator_counts(betti_table(profile))
+        counts = generator_counts(profile)
         got = minimal_generators(profile.action).counts
         exceptional = weight_class((0, a, b), d) in \
             FORMULA_EXCEPTIONS.get(d, ())
