@@ -10,7 +10,11 @@ that sum to 0 mod d, so an invariant of degree at least 2d has a
 degree-d invariant below it.  egz_factor peels off the lex-largest one.
 
 One iterative walker, _compositions, feeds exponent_vectors,
-invariant_monomials and count_invariants.
+invariant_monomials and count_invariants.  The first two fix all but the
+last two coordinates and build each vector.  count_invariants fixes all
+but the first three: it sums the third a period of d at a time and
+counts the first two in closed form, so one degree of a three-variable
+action costs d loop steps, not t*d.
 """
 
 from __future__ import annotations
@@ -174,23 +178,38 @@ def _congruence(a: int, mod: int) -> tuple[int, int, int]:
 def count_invariants(action: CyclicAction, t: int) -> int:
     """Number of degree t*d invariant monomials, without enumerating them.
 
-    The walker fixes the coordinates beyond the first two; the pair
-    (0, 1) is counted in closed form.
+    The walker fixes the coordinates beyond the first three.  The pair
+    (y0, y1) is counted in closed form: y0 + y1 = rest - y2 and y1 lies
+    in one class mod step = d/g, least member y1 < step, so it has
+    (rest - y2 - y1) // step + 1 solutions.  y2 is summed a period at a
+    time: y2 = s + d*j with s < min(d, rest + 1) and j <= q =
+    (rest - s) // d.  Moving y2 by d moves the congruence's right side
+    by a multiple of d, so y1 depends on s only; and as d = g*step, the
+    floor is A - g*j with A = (rest - s - y1) // step, so class s adds
+    (q + 1)*(A + 1) - g*q*(q + 1)/2.  No term needs clipping: y1 < step
+    makes the floor at least -1 whenever y2 <= rest, and -1 counts 0.
+    An action of two variables holds y2 at 0.  So a degree costs
+    O((t*d)^(n-2) * d) steps for n + 1 variables, d of them for three.
     """
     if t < 1:
         raise ValueError("t must be at least 1")
     d = action.d
-    w = action.weights
-    # y0 + y1 = rest and (w1 - w0)*y1 = -wsum - w0*rest (mod d)
-    g, step, inverse = _congruence(w[1] - w[0], d)
+    w0, w1, *lead = action.weights
+    w2, span = (lead.pop(0), t * d) if lead else (0, 0)
+    # y0 + y1 = rest - y2 and
+    # (w1 - w0)*y1 = -wsum - w0*rest - (w2 - w0)*y2 (mod d)
+    g, step, inverse = _congruence(w1 - w0, d)
     count = 0
-    for _, rest, wsum in _compositions(w[2:], t * d):
-        c = -wsum - w[0] * rest
-        if c % g:
-            continue
-        y1 = c // g * inverse % step
-        if y1 <= rest:
-            count += (rest - y1) // step + 1
+    for _, rest, wsum in _compositions(lead, t * d):
+        top = min(rest, span)
+        for s in range(min(d, top + 1)):
+            c = -wsum - w0 * rest - (w2 - w0) * s
+            if c % g:
+                continue
+            y1 = c // g * inverse % step
+            q = (top - s) // d
+            count += ((q + 1) * ((rest - s - y1) // step + 1)
+                      - g * q * (q + 1) // 2)
     return count
 
 

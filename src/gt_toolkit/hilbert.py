@@ -73,18 +73,27 @@ def _reduced_count(first: int, second: int, d: int, t: int) -> int:
     with lambda chosen so second = lambda*(first/g) + mu*(d/g), the
     scaled systems have y1 + lambda*y2' equal to a multiple of d/g at
     most t*lambda*(d/g), restricted by y1 + g*y2' <= t*d.  The
-    derivation needs gcd(first, d) <= gcd(second, d).  y2' stops at t*d',
-    where both bounds on y1, g*(t*d' - y2') and lambda*(t*d' - y2'), reach 0.
+    derivation needs gcd(first, d) <= gcd(second, d).  As t*d =
+    t*g*d', y1 runs over [0, upper] with upper = min(g, lambda)*(t*d' -
+    y2') and y1 = rem = -lambda*y2' (mod d'), which gives
+    (upper - rem) // d' + 1 solutions.  rem has period d' in y2', so
+    y2' = s + d'*j with s < d' and j <= q = (t*d' - s) // d' is summed a
+    period at a time: with m = min(g, lambda), the floor is B - m*j for
+    B = (m*(t*d' - s) - rem) // d', and class s adds
+    (q + 1)*(B + 1) - m*q*(q + 1)/2.  No term needs clipping: for
+    j <= q, upper >= 0 and rem < d', so the floor is at least -1, which
+    counts 0.  So a degree costs d' steps.
     """
     g, d_prime, lam, _ = _lambda_mu(first, second, d)
-    total = t * d
+    # lambda >= g on every surface with d < 40, but that is not proved
+    m = min(g, lam)
+    top = t * d_prime
     count = 0
-    for y2 in range(t * d_prime + 1):
-        upper = min(total - g * y2, t * lam * d_prime - lam * y2)
-        # y1 = -lam*y2' (mod d') within [0, upper]
-        rem = (-lam * y2) % d_prime
-        if rem <= upper:
-            count += (upper - rem) // d_prime + 1
+    for s in range(d_prime):
+        rem = -lam * s % d_prime
+        q = (top - s) // d_prime
+        count += ((q + 1) * ((m * (top - s) - rem) // d_prime + 1)
+                  - m * q * (q + 1) // 2)
     return count
 
 

@@ -324,6 +324,43 @@ def test_count_matches_brute_force_general_n():
             assert count_invariants(action, t) == _brute_force_count(action, t)
 
 
+def test_period_sums_match_brute_force():
+    # count_invariants sums y2 a period d at a time and counts (y0, y1)
+    # in closed form; compare with the enumeration and with a brute
+    # force that shares neither, for t*d up to 24
+    rng = random.Random(37)
+    cases = [
+        # two variables: no y2
+        CyclicAction(7, (2, 5)), CyclicAction(12, (5, 5)),
+        CyclicAction(2, (0, 1)),
+        # repeated weights with w0 != 0
+        CyclicAction(6, (5, 5, 1)), CyclicAction(8, (3, 3, 3, 1)),
+        CyclicAction(5, (2, 2, 2, 2, 1)),
+        # gcd(w1 - w0, d) = 3 and gcd(w2 - w0, d) = 6
+        CyclicAction(12, (1, 4, 7)),
+        # gcd(w1 - w0, d) = 2 and gcd(w2 - w0, d) = 4
+        CyclicAction(8, (3, 5, 7, 2)),
+        # gcd(w1 - w0, d) = gcd(w2 - w0, d) = 3, five variables
+        CyclicAction(6, (1, 4, 4, 0, 5)),
+        # w1 = w0, so step = 1 and every y1 solves
+        CyclicAction(9, (4, 4, 1)), CyclicAction(4, (1, 1, 2, 3)),
+    ]
+    while len(cases) < 31:
+        d = rng.randrange(2, 13)
+        weights = tuple(rng.randrange(d) for _ in range(rng.randrange(2, 6)))
+        try:
+            cases.append(CyclicAction(d, weights))
+        except ValueError:
+            continue
+    for action in cases:
+        # with four or five variables the walker's prefixes reach every
+        # rest below t*d, those with rest < d among them
+        for t in range(1, 24 // action.d + 1):
+            expected = _brute_force_count(action, t)
+            assert count_invariants(action, t) == expected, (action, t)
+            assert len(invariant_monomials(action, t)) == expected
+
+
 def test_pure_powers_always_invariant():
     rng = random.Random(5)
     for _ in range(25):

@@ -98,11 +98,13 @@ def test_prime_degree_specialization():
 
 
 def test_triple_agreement_sweep():
+    # both counting routes sum one coordinate a period at a time, so
+    # t <= 40 runs each sum over up to 40 periods
     for (a, b, d) in surface_triples(12):
         p = surface_profile(a, b, d)
         assert p.consistent, (a, b, d)
         action = p.action
-        for t in range(5):
+        for t in range(41):
             counted = hf_by_counting(action, t)
             assert counted == hf_reduced(a, b, d, t), (a, b, d, t)
             assert counted == hf_closed_form(p, t), (a, b, d, t)
