@@ -43,7 +43,8 @@ import sys
 from itertools import accumulate
 from types import SimpleNamespace
 
-from .actions import CyclicAction, format_monomial, invariant_monomials
+from .actions import (CyclicAction, count_invariants, format_monomial,
+                      invariant_monomials)
 from .exactalg import InternalDiscrepancy
 from .hilbert import (catalog_notes, hf_by_counting, hf_reduced,
                       hilbert_series, surface_profile)
@@ -160,6 +161,8 @@ def _cmd_invariants(args):
     per_degree = []
     for t in range(1, args.horizon + 1):
         monomials = invariant_monomials(action, t)
+        if len(monomials) != count_invariants(action, t):
+            raise InternalDiscrepancy(f"degree-{t} invariants miscounted")
         per_degree.append({
             "t": t, "degree": t * action.d, "count": len(monomials),
             "monomials": [list(m) for m in monomials],

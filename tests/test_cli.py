@@ -381,6 +381,28 @@ def test_graph_check_failure_exits_with_discrepancy(capsys, monkeypatch,
     assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command, t", [("classify", 1), ("invariants", 2)])
+def test_count_check_failure_exits_with_discrepancy(capsys, monkeypatch,
+                                                    command, t):
+    # classify compares the mu_d that its rank test enumerated, and
+    # invariants each enumerated count, with the counted one
+    if command == "classify":
+        count = togliatti.mu_d
+        monkeypatch.setattr(togliatti, "mu_d",
+                            lambda action: count(action) + 1)
+        argv = ("classify", "5", "0,1,3")
+    else:
+        count = cli.count_invariants
+        monkeypatch.setattr(cli, "count_invariants",
+                            lambda action, j: count(action, j) + (j == t))
+        argv = ("invariants", "5", "0,1,3", "--t", "3")
+    for fmt in ("table", "json"):
+        status, out, err = run(capsys, *argv, "--format", fmt)
+        assert (status, out) == (2, "")
+        assert err == ("internal discrepancy: "
+                       f"degree-{t} invariants miscounted\n")
+
+
 def test_ideal_json_formats_no_table_text(capsys, monkeypatch):
     calls = {"_binomial_str": 0, "format_monomial": 0}
     for name in calls:
@@ -820,8 +842,10 @@ def test_member_resum_fault_exits_with_discrepancy(tmp_path, capsys,
 
 def test_reports_do_not_depend_on_the_apery_cache(tmp_path, capsys):
     # two files hold one generator set, shuffled and with a repeat, so
-    # the second is served by the first's Apery build; every report of a
-    # warm process must read as it does from a cold one
+    # the second is served by the first's Apery build, and classify runs
+    # on actions of one (n, d), which share restricted powers of
+    # x1+...+xn; every report of a warm process must read as it does
+    # from a cold one
     generators = [[5, 0, 0], [0, 5, 0], [0, 0, 5], [3, 1, 1], [2, 2, 1],
                   [1, 3, 1]]
     listed = generators + [generators[3]]
@@ -839,15 +863,23 @@ def test_reports_do_not_depend_on_the_apery_cache(tmp_path, capsys):
               ("h3t", "2", "--bound", "6", "--format", "json"),
               ("hk", "2", "1", "--bound", "8", "--format", "json"),
               ("verify-paper", "--format", "json")]
+    argvs += [("classify", "7", weights, "--format", "json")
+              for weights in ("0,1,3", "0,1,2", "0,2,3")]
+    argvs += [("classify", "8", weights, "--format", fmt)
+              for weights in ("0,1,2,3", "0,1,3,5")
+              for fmt in ("table", "json")]
+    caches = (_apery, togliatti._restricted_power)
     cold = {}
     for argv in argvs:
-        _apery.cache_clear()
+        for cache in caches:
+            cache.cache_clear()
         cold[argv] = run(capsys, *argv)
         assert cold[argv][0] == 0 and cold[argv][2] == "", argv
-    _apery.cache_clear()
+    for cache in caches:
+        cache.cache_clear()
     for argv in argvs + argvs[::-1]:
         assert run(capsys, *argv) == cold[argv], argv
-    assert _apery.cache_info().hits > 0
+    assert all(cache.cache_info().hits > 0 for cache in caches)
 
 
 def test_classify_ranks_once(capsys, monkeypatch):
@@ -865,14 +897,31 @@ def test_classify_ranks_once(capsys, monkeypatch):
     assert status == 0 and check["kernel_dimension"] == 1
     assert len(calls) == 1
     # the rank is taken of the mu_d generators restricted to x0+x1+x2 = 0:
-    # sparse rows keyed by the exponents of x1, x2 in degree d, at most
-    # one entry per degree-d monomial of k[x1, x2], never dense lists
+    # sparse rows keyed by the exponents of x1, x2 in degree d, packed as
+    # two digits of d.bit_length() bits, x1 first; at most one entry per
+    # degree-d monomial of k[x1, x2], never dense lists
     rows = calls[0]
     assert rows and all(type(row) is dict for row in rows)
     assert len(rows) == mu_d(CyclicAction(5, (0, 1, 3)))
-    assert all(len(key) == 2 and sum(key) == 5
-               for row in rows for key in row)
+    assert all(type(key) is int for row in rows for key in row)
+    digit = 1 << (5).bit_length()
+    keys = [divmod(key, digit) for row in rows for key in row]
+    assert all(len(key) == 2 and sum(key) == 5 and max(key) < digit
+               for key in keys)
     assert all(len(row) <= comb(5 + 1, 1) for row in rows)
+    # decoded, they are the unit rows of the x0-free generators, then
+    # (-1)^a0*(x1+x2)^a0*x1^b*x2^c for each x0^a0*x1^b*x2^c in lex
+    # order, without the unit rows' columns
+    gens = invariant_monomials(CyclicAction(5, (0, 1, 3)), 1)
+    units = {g[1:] for g in gens if not g[0]}
+    decoded = [{divmod(key, digit): c for key, c in row.items()}
+               for row in rows]
+    assert (sorted(tuple(row.items()) for row in decoded[:len(units)])
+            == sorted(((u, 1),) for u in units))
+    assert decoded[len(units):] == [
+        {(b + k, c + a0 - k): (-1) ** a0 * comb(a0, k)
+         for k in range(a0 + 1) if (b + k, c + a0 - k) not in units}
+        for a0, b, c in sorted(g for g in gens if g[0])]
 
 
 def test_betti_builds_one_table(capsys, monkeypatch):

@@ -158,7 +158,7 @@ def test_integer_rank_matches_fraction_oracle_on_wlp_matrices(monkeypatch):
 
     def check(action):
         togliatti.wlp_fails_in_degree(action, action.d - 1)
-        # one row per generator, keyed by exponents of x1..xn
+        # one row per generator, keyed by packed exponents of x1..xn
         rows = captured[-1]
         assert len(rows) == mu_d(action), action
         captured[-1] = _dense(rows, sorted(set().union(*rows)))

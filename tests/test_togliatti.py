@@ -71,7 +71,15 @@ def test_wlp_matches_multiplication_matrix_route():
                     assert (wlp_fails_in_degree(action, j).to_dict()
                             == _matrix_route(action, j)), (action, j)
                     cases += 1
-    assert cases == 1901
+    # degrees j + 1 = 15, 16, 17 put the packed digits of the restricted
+    # rows on either side of a width boundary, 4 bits to 5
+    for d, weights in [(15, (0, 1, 3)), (16, (0, 1, 3)), (8, (0, 1, 2, 3))]:
+        action = CyclicAction(d, weights)
+        for j in range(14, 17):
+            assert (wlp_fails_in_degree(action, j).to_dict()
+                    == _matrix_route(action, j)), (action, j)
+            cases += 1
+    assert cases == 1910
 
 
 def test_wlp_dimensions():
